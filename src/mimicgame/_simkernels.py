@@ -1,12 +1,10 @@
 """Path-stepping kernels for the belief simulator.
 
-Two interchangeable lanes compute the same thing: a numba scalar loop per
-path (default) and a vectorized numpy twin (MIMICGAME_NO_NUMBA=1). All
-randomness is drawn in the driver from per-path counter-based Philox
-streams keyed by (seed, run tag, path index), consumed one normal per
-diffusion step and one exponential per opportunity arrival, so the two
-lanes walk identical trajectories; only libm rounding in the discount
-factors can differ, at the last few ulps of the payoffs.
+Each run steps its paths in batches of numpy arrays, one row per path. All
+randomness comes from per-path counter-based Philox streams keyed by
+(seed, run tag, path index), consumed one normal per diffusion step and
+one exponential per opportunity arrival, so a path's trajectory does not
+depend on the batch it runs in.
 
 Paths freeze once |z| reaches the truncation cap, after which their fate
 is deterministic and closed in one shot. Steps are clipped to the next
@@ -19,11 +17,7 @@ vary: plain Euler at the nominal step leaves an O(dt) payoff bias with a
 large constant there, visible at 1e5 paths. Outside the band the
 coefficients are constant and the step is exact in distribution.
 
-The scalar kernels are resumable: they bail out with a request code when
-a draw buffer runs dry, before mutating any state for the pending step,
-and the driver feeds the next chunk of the same stream.
-
-The step-size refinement run (run_coupled, numpy lane only) simulates each
+The step-size refinement run (run_coupled) simulates each
 path at dt and at dt/2 on one shared Brownian path. Independent runs at
 the two step sizes differ by sampling noise of the size of their standard
 errors (their payoffs correlate only about 0.7 path by path when they merely
@@ -35,7 +29,7 @@ one extra draw covers the partial unit before an arrival or the horizon.
 Arrival times come from the same exponential stream as the main run. The
 legs advance in lockstep, whichever lags stepping next, so one short window
 of drawn units serves both, and both step through the same _advance as the
-main numpy lane.
+main run.
 """
 
 import math
@@ -44,17 +38,8 @@ from functools import partial
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ._numba import NUMBA_ENABLED, njit
-
-# state vector layout shared by kernel and driver
-_T, _Z, _D1, _D2, _PAY, _ARR, _ZPR, _PRDONE, _OUT_T, _OUT_STOP, _USED_N, _USED_E = range(12)
-_STATE_LEN = 12
-
-_DONE, _NEED_NORMALS, _NEED_EXPS = 0, 2, 3
-
-_CHUNK_N0 = 2048      # first normals chunk per path
-_CHUNK_N1 = 2048      # follow-up chunks
-_CHUNK_E = 64
+_CHUNK_N = 2048       # normals drawn per path per refill
+_CHUNK_E = 64         # exponentials drawn per path per refill
 
 _DEAD = 1 << 62        # unit position of a finished leg in the coupled run
 
@@ -64,209 +49,8 @@ def _gen(seed, tag, idx, stream):
                                          dtype=np.uint64)))
 
 
-def _interp_impl(a_tab, z_lo, inv_dz, z):
-    pos = (z - z_lo) * inv_dz
-    if pos < 0.0:
-        pos = 0.0
-    i = int(pos)
-    if i >= a_tab.size - 1:
-        return a_tab[a_tab.size - 1]
-    frac = pos - i
-    return a_tab[i] + (a_tab[i + 1] - a_tab[i]) * frac
-
-
-if NUMBA_ENABLED:
-    _interp = njit(cache=True)(_interp_impl)
-else:
-    _interp = _interp_impl
-
-
-def _py_path_main(st, normals, exps, z_star, drift_c, psi, r1, r2, u, c,
-                  dt, dt_band, band_lo, band_hi, horizon, z_cap, t_probe,
-                  e1dt, em1dt, e2dt, e1db, em1db, e2db,
-                  a_tab, z_lo, inv_dz):
-    t = st[_T]; z = st[_Z]; d1 = st[_D1]; d2 = st[_D2]; pay = st[_PAY]
-    arr = st[_ARR]; zpr = st[_ZPR]; prdone = st[_PRDONE]
-    k = 0
-    j = 0
-    while True:
-        if arr < 0.0:
-            # next arrival time pending (start of path, or after a refill bailout)
-            if j >= exps.size:
-                st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_D2] = d2; st[_PAY] = pay
-                st[_ARR] = arr; st[_ZPR] = zpr; st[_PRDONE] = prdone
-                st[_USED_N] = k; st[_USED_E] = j
-                return _NEED_EXPS
-            arr = t + exps[j]; j += 1
-        if prdone == 0.0 and t >= t_probe:
-            zpr = z; prdone = 1.0
-        if z >= z_cap or z <= -z_cap:
-            # frozen belief: deterministic closure
-            if z >= z_star and arr < horizon:
-                T = arr; stopped = 1.0
-            else:
-                T = horizon; stopped = 0.0
-            a = _interp(a_tab, z_lo, inv_dz, z)
-            flow = u + (1.0 - a) * c
-            h = T - t
-            pay = pay + flow * (d1 * (-math.expm1(-r1 * h)))
-            d1 = d1 * math.exp(-r1 * h); d2 = d2 * math.exp(-r2 * h)
-            if prdone == 0.0:
-                zpr = z; prdone = 1.0
-            st[_T] = T; st[_Z] = z; st[_D1] = d1; st[_D2] = d2; st[_PAY] = pay
-            st[_ARR] = arr; st[_ZPR] = zpr; st[_PRDONE] = prdone
-            st[_OUT_T] = T; st[_OUT_STOP] = stopped
-            st[_USED_N] = k; st[_USED_E] = j
-            return _DONE
-        if k >= normals.size:
-            st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_D2] = d2; st[_PAY] = pay
-            st[_ARR] = arr; st[_ZPR] = zpr; st[_PRDONE] = prdone
-            st[_USED_N] = k; st[_USED_E] = j
-            return _NEED_NORMALS
-        in_band = band_lo < z < band_hi
-        h = dt_band if in_band else dt
-        lim = 0
-        if arr - t < h:
-            h = arr - t; lim = 1
-        if horizon - t < h:
-            h = horizon - t; lim = 2
-        if h < 0.0:
-            h = 0.0
-        a = _interp(a_tab, z_lo, inv_dz, z)
-        if lim == 0:
-            if in_band:
-                e1 = e1db; em1 = em1db; e2 = e2db
-            else:
-                e1 = e1dt; em1 = em1dt; e2 = e2dt
-        else:
-            e1 = math.exp(-r1 * h); em1 = -math.expm1(-r1 * h); e2 = math.exp(-r2 * h)
-        onema = 1.0 - a
-        sh = math.sqrt(h)
-        mu_h = (drift_c * (onema * onema)) * h
-        sg = psi * onema
-        probe = z + mu_h + sg * sh
-        sg2 = psi * (1.0 - _interp(a_tab, z_lo, inv_dz, probe))
-        xi = normals[k]
-        k += 1
-        z = z + mu_h + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
-        # trapezoidal intensity along the step keeps the payoff quadrature
-        # honest where the policy is steep
-        a_end = _interp(a_tab, z_lo, inv_dz, z)
-        flow = u + (1.0 - 0.5 * (a + a_end)) * c
-        pay = pay + flow * (d1 * em1)
-        d1 = d1 * e1; d2 = d2 * e2; t = t + h
-        if lim == 1:
-            if z >= z_star:
-                if prdone == 0.0:
-                    zpr = z; prdone = 1.0
-                st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_D2] = d2; st[_PAY] = pay
-                st[_ARR] = arr; st[_ZPR] = zpr; st[_PRDONE] = prdone
-                st[_OUT_T] = t; st[_OUT_STOP] = 1.0
-                st[_USED_N] = k; st[_USED_E] = j
-                return _DONE
-            arr = -1.0
-        elif lim == 2:
-            if prdone == 0.0:
-                zpr = z; prdone = 1.0
-            st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_D2] = d2; st[_PAY] = pay
-            st[_ARR] = arr; st[_ZPR] = zpr; st[_PRDONE] = prdone
-            st[_OUT_T] = horizon; st[_OUT_STOP] = 0.0
-            st[_USED_N] = k; st[_USED_E] = j
-            return _DONE
-
-
-def _py_path_diag(st, normals, z_int_lo, z_int_hi, drift_c, psi, r1, u, c,
-                  a_thresh, dt, horizon, e1dt, em1dt, a_tab, z_lo, inv_dz):
-    # st reuses: _T, _Z, _D1, _PAY (low-mimic integral), _OUT_T, _OUT_STOP (exited)
-    t = st[_T]; z = st[_Z]; d1 = st[_D1]; low = st[_PAY]
-    k = 0
-    while True:
-        if z <= z_int_lo or z >= z_int_hi:
-            st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_PAY] = low
-            st[_OUT_T] = t; st[_OUT_STOP] = 1.0
-            st[_USED_N] = k
-            return _DONE
-        if t >= horizon:
-            st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_PAY] = low
-            st[_OUT_T] = horizon; st[_OUT_STOP] = 0.0
-            st[_USED_N] = k
-            return _DONE
-        if k >= normals.size:
-            st[_T] = t; st[_Z] = z; st[_D1] = d1; st[_PAY] = low
-            st[_USED_N] = k
-            return _NEED_NORMALS
-        h = dt; lim = 0
-        if horizon - t < h:
-            h = horizon - t; lim = 2
-        a = _interp(a_tab, z_lo, inv_dz, z)
-        if lim == 0:
-            e1 = e1dt; em1 = em1dt
-        else:
-            e1 = math.exp(-r1 * h); em1 = -math.expm1(-r1 * h)
-        if a <= a_thresh:
-            low = low + d1 * em1
-        onema = 1.0 - a
-        sh = math.sqrt(h)
-        mu_h = (drift_c * (onema * onema)) * h
-        sg = psi * onema
-        probe = z + mu_h + sg * sh
-        sg2 = psi * (1.0 - _interp(a_tab, z_lo, inv_dz, probe))
-        xi = normals[k]
-        k += 1
-        z = z + mu_h + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
-        d1 = d1 * e1; t = t + h
-
-
-if NUMBA_ENABLED:
-    _nb_path_main = njit(cache=True)(_py_path_main)
-    _nb_path_diag = njit(cache=True)(_py_path_diag)
-else:
-    _nb_path_main = _py_path_main
-    _nb_path_diag = _py_path_diag
-
-
-def _run_main_scalar(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
-                     band_lo, band_hi, horizon, z_cap,
-                     t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset,
-                     exp_scale):
-    e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt); e2dt = math.exp(-r2 * dt)
-    e1db = math.exp(-r1 * dt_band); em1db = -math.expm1(-r1 * dt_band)
-    e2db = math.exp(-r2 * dt_band)
-    out = np.empty((n_paths, 6))
-    st = np.empty(_STATE_LEN)
-    kernel = _nb_path_main
-    for i in range(n_paths):
-        idx = path_offset + i
-        gn = _gen(seed, tag, idx, 0)
-        ge = _gen(seed, tag, idx, 1)
-        st[:] = 0.0
-        st[_Z] = z0; st[_D1] = 1.0; st[_D2] = 1.0; st[_ARR] = -1.0
-        normals = gn.standard_normal(_CHUNK_N0)
-        exps = ge.exponential(scale=exp_scale, size=_CHUNK_E)
-        while True:
-            code = kernel(st, normals, exps, z_star, drift_c, psi, r1, r2, u, c,
-                          dt, dt_band, band_lo, band_hi, horizon, z_cap, t_probe,
-                          e1dt, em1dt, e2dt, e1db, em1db, e2db,
-                          a_tab, z_lo, inv_dz)
-            if code == _DONE:
-                break
-            if code == _NEED_NORMALS:
-                exps = exps[int(st[_USED_E]):]
-                normals = gn.standard_normal(_CHUNK_N1)
-            else:
-                normals = normals[int(st[_USED_N]):]
-                exps = ge.exponential(scale=exp_scale, size=_CHUNK_E)
-        out[i, 0] = st[_OUT_T]
-        out[i, 1] = st[_OUT_STOP]
-        out[i, 2] = st[_PAY]
-        out[i, 3] = st[_D1]
-        out[i, 4] = st[_D2]
-        out[i, 5] = st[_ZPR]
-    return out
-
-
-def _interp_np(a_tab, z_lo, inv_dz, zv):
-    """Vectorized twin of _interp."""
+def _interp(a_tab, z_lo, inv_dz, zv):
+    """Policy table lookup, linear between nodes and clamped at both ends."""
     ntab = a_tab.size
     pos = (zv - z_lo) * inv_dz
     pos = np.maximum(pos, 0.0)
@@ -322,7 +106,7 @@ def _close_frozen(frozen, z, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon,
     return T[frozen], np.where(will_stop, 1.0, 0.0)[frozen]
 
 
-def _run_main_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
+def _main_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
                     band_lo, band_hi, horizon, z_cap,
                     t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset,
                     exp_scale):
@@ -332,7 +116,7 @@ def _run_main_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
     n = n_paths
     gens_n = [_gen(seed, tag, path_offset + i, 0) for i in range(n)]
     gens_e = [_gen(seed, tag, path_offset + i, 1) for i in range(n)]
-    interp = partial(_interp_np, a_tab, z_lo, inv_dz)
+    interp = partial(_interp, a_tab, z_lo, inv_dz)
 
     t = np.zeros(n); z = np.full(n, z0)
     d1 = np.ones(n); d2 = np.ones(n); pay = np.zeros(n)
@@ -346,14 +130,14 @@ def _run_main_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
     epos = np.ones(n, dtype=np.int64)
     arr = echunk[:, 0].copy()
 
-    L = _CHUNK_N0
+    L = _CHUNK_N
     nchunk = np.empty((n, L))
     for i in range(n):
         nchunk[i] = gens_n[i].standard_normal(L)
     col = 0
 
     while alive.any():
-        # probe capture at step boundaries, matching the scalar kernel's order
+        # probe capture at step boundaries
         cap = alive & ~prdone & (t >= t_probe)
         zpr[cap] = z[cap]; prdone[cap] = True
 
@@ -428,27 +212,26 @@ def _run_main_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
 
 def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
              t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag,
-             batch=4096, force_numpy=False, path_offset=0,
+             batch=4096, path_offset=0,
              dt_band=None, band_lo=np.inf, band_hi=-np.inf):
     """Simulate n_paths of the game; columns (T, stopped, pay, e^{-r1 T}, e^{-r2 T}, z_probe)."""
     drift_c = drift_sign * 0.5 * psi * psi
     exp_scale = 1.0 / lam
     if dt_band is None:
         dt_band = dt
-    runner = _run_main_numpy if (force_numpy or not NUMBA_ENABLED) else _run_main_scalar
     chunks = []
     for off in range(0, n_paths, batch):
         nb = min(batch, n_paths - off)
-        chunks.append(runner(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
-                             band_lo, band_hi, horizon,
-                             z_cap, t_probe, a_tab, z_lo, inv_dz, nb, seed, tag,
-                             path_offset + off, exp_scale))
+        chunks.append(_main_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
+                                  band_lo, band_hi, horizon,
+                                  z_cap, t_probe, a_tab, z_lo, inv_dz, nb, seed, tag,
+                                  path_offset + off, exp_scale))
     return np.vstack(chunks)
 
 
-def _run_coupled_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
-                       band_lo, band_hi, horizon, z_cap, a_tab, z_lo, inv_dz,
-                       n_paths, seed, tag, path_offset, exp_scale):
+def _coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
+                   band_lo, band_hi, horizon, z_cap, a_tab, z_lo, inv_dz,
+                   n_paths, seed, tag, path_offset, exp_scale):
     # leg 0 steps at dt (dt/refine in the band), leg 1 at dt/2 (dt/(2 refine));
     # every step spans a whole number of units of length du
     du = dt / (2 * refine)
@@ -456,9 +239,9 @@ def _run_coupled_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
     sk_out = np.sqrt(k_out); sk_in = np.sqrt(k_in)
     h_out = np.array([[dt], [dt / 2]]); h_in = h_out / refine
     kmax = 2 * refine
-    chunk = max(_CHUNK_N1, 2 * kmax + 2)
+    chunk = max(_CHUNK_N, 2 * kmax + 2)
     ring_len = 2 * chunk
-    interp = partial(_interp_np, a_tab, z_lo, inv_dz)
+    interp = partial(_interp, a_tab, z_lo, inv_dz)
     n = n_paths
     gens_n = [_gen(seed, tag, path_offset + i, 0) for i in range(n)]
     gens_e = [_gen(seed, tag, path_offset + i, 1) for i in range(n)]
@@ -599,7 +382,7 @@ def _run_coupled_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
 def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, horizon,
                 z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi,
                 batch=4096):
-    """Simulate n_paths at dt and at dt/2 on shared Brownian paths (numpy lane).
+    """Simulate n_paths at dt and at dt/2 on shared Brownian paths.
 
     Returns shape (2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns
     (T, stopped, pay, e^{-r1 T}, e^{-r2 T}).
@@ -608,51 +391,27 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
     chunks = []
     for off in range(0, n_paths, batch):
         nb = min(batch, n_paths - off)
-        chunks.append(_run_coupled_numpy(z0, z_star, drift_c, psi, r1, r2, u, c, dt,
-                                         refine, band_lo, band_hi, horizon, z_cap,
-                                         a_tab, z_lo, inv_dz, nb, seed, tag, off,
-                                         1.0 / lam))
+        chunks.append(_coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt,
+                                     refine, band_lo, band_hi, horizon, z_cap,
+                                     a_tab, z_lo, inv_dz, nb, seed, tag, off,
+                                     1.0 / lam))
     return np.concatenate(chunks, axis=1)
 
 
-def _run_diag_scalar(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
-                     dt, horizon, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset):
-    e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt)
-    out = np.empty((n_paths, 4))
-    st = np.empty(_STATE_LEN)
-    kernel = _nb_path_diag
-    for i in range(n_paths):
-        gn = _gen(seed, tag, path_offset + i, 0)
-        st[:] = 0.0
-        st[_Z] = z0; st[_D1] = 1.0
-        normals = gn.standard_normal(_CHUNK_N0)
-        while True:
-            code = kernel(st, normals, z_int_lo, z_int_hi, drift_c, psi, r1, u, c,
-                          a_thresh, dt, horizon, e1dt, em1dt, a_tab, z_lo, inv_dz)
-            if code == _DONE:
-                break
-            normals = gn.standard_normal(_CHUNK_N1)
-        out[i, 0] = st[_OUT_T]
-        out[i, 1] = st[_OUT_STOP]
-        out[i, 2] = st[_D1]
-        out[i, 3] = st[_PAY]
-    return out
-
-
-def _run_diag_numpy(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
-                    dt, horizon, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset):
+def _diag_batch(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
+                dt, horizon, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset):
     e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt)
     n = n_paths
     gens_n = [_gen(seed, tag, path_offset + i, 0) for i in range(n)]
     t = np.zeros(n); z = np.full(n, z0); d1 = np.ones(n); low = np.zeros(n)
     out_T = np.zeros(n); exited = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    L = _CHUNK_N0
+    L = _CHUNK_N
     nchunk = np.empty((n, L))
     for i in range(n):
         nchunk[i] = gens_n[i].standard_normal(L)
     col = 0
-    interp = partial(_interp_np, a_tab, z_lo, inv_dz)
+    interp = partial(_interp, a_tab, z_lo, inv_dz)
 
     while alive.any():
         exit_now = alive & ((z <= z_int_lo) | (z >= z_int_hi))
@@ -692,15 +451,12 @@ def _run_diag_numpy(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
 
 
 def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
-             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch=4096, force_numpy=False,
-             path_offset=0):
+             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch=4096):
     """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 T}, low-mimic integral)."""
     drift_c = 0.5 * psi * psi
-    runner = _run_diag_numpy if (force_numpy or not NUMBA_ENABLED) else _run_diag_scalar
     chunks = []
     for off in range(0, n_paths, batch):
         nb = min(batch, n_paths - off)
-        chunks.append(runner(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
-                             dt, horizon, a_tab, z_lo, inv_dz, nb, seed, tag,
-                             path_offset + off))
+        chunks.append(_diag_batch(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
+                                  dt, horizon, a_tab, z_lo, inv_dz, nb, seed, tag, off))
     return np.vstack(chunks)

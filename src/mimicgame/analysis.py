@@ -17,10 +17,14 @@ import numpy as np
 
 from .agent import REGIME_HUMP, eval_agent, solve_r_star
 from .model import GameParams, Numerics, benchmark_values, inv_logit, logit, myopic_cutoffs, termination_payoff
-from .principal import Equilibrium, solve_equilibrium
+from .principal import BracketError, ConvergenceError, Equilibrium, solve_equilibrium
 
 SHAPE_DECREASING = "Decreasing"
 SHAPE_ZIGZAG = "ZigZag"
+
+# failures a sweep records in its row and sweeps past; anything else is a bug
+# and propagates (SeparatingRegimeError is a ValueError)
+_SOLVER_ERRORS = (ConvergenceError, BracketError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def sweep_psi(params: GameParams, psi_list, probe_p: float = 0.3,
         try:
             _, row = _solved_row("psi", float(psi), params.with_(psi=float(psi)),
                                  probe_p, grid_n, num)
-        except Exception as exc:  # keep sweeping; mark the row
+        except _SOLVER_ERRORS as exc:  # keep sweeping; mark the row
             row = SweepRow(param="psi", value=float(psi), error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
     return rows
@@ -170,7 +174,7 @@ def sweep_patience(params: GameParams, scale_list, chi: float = 1.0,
                                  sup_dist_stop_value=sup_dist,
                                  v_below=float(v_below), v_above=float(v_above),
                                  runtime_s=runtime, warning=warn))
-        except Exception as exc:
+        except _SOLVER_ERRORS as exc:
             rows.append(SweepRow(param="scale", value=float(s),
                                  error=f"{type(exc).__name__}: {exc}"))
     return rows

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numba import NUMBA_ENABLED, njit
 from .model import GameParams, inv_logit, termination_payoff
 
 
@@ -93,77 +92,31 @@ def _gather_weights(zq, z0, dz, n):
     return idx, frac
 
 
-def _py_vi_agent(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
-                 surv, flow0, flow1, g1, tol, maxit):
-    n = v.size
-    vn = np.empty(n)
+def _vi_agent(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
+              surv, flow0, flow1, g1, tol, maxit):
     for it in range(maxit):
-        diff = 0.0
-        for i in range(n):
-            ev0 = 0.5 * ((v[iu0[i]] * (1.0 - fu0[i]) + v[iu0[i] + 1] * fu0[i])
-                         + (v[id0[i]] * (1.0 - fd0[i]) + v[id0[i] + 1] * fd0[i]))
-            ev1 = 0.5 * ((v[iu1[i]] * (1.0 - fu1[i]) + v[iu1[i] + 1] * fu1[i])
-                         + (v[id1[i]] * (1.0 - fd1[i]) + v[id1[i] + 1] * fd1[i]))
-            v0 = flow0 + g1 * surv[i] * ev0
-            v1 = flow1 + g1 * surv[i] * ev1
-            nv = v0 if v0 > v1 else v1
-            d = abs(nv - v[i])
-            if d > diff:
-                diff = d
-            vn[i] = nv
+        ev0 = 0.5 * ((v[iu0] * (1.0 - fu0) + v[iu0 + 1] * fu0)
+                     + (v[id0] * (1.0 - fd0) + v[id0 + 1] * fd0))
+        ev1 = 0.5 * ((v[iu1] * (1.0 - fu1) + v[iu1 + 1] * fu1)
+                     + (v[id1] * (1.0 - fd1) + v[id1 + 1] * fd1))
+        vn = np.maximum(flow0 + g1 * surv * ev0, flow1 + g1 * surv * ev1)
+        diff = np.max(np.abs(vn - v))
         v[:] = vn
         if diff < tol:
             return it + 1
     return -maxit
 
 
-def _py_eval_principal(w, iu, fu, idn, fd, stop_prob, reward, g2, tol, maxit):
-    n = w.size
-    wn = np.empty(n)
+def _eval_principal(w, iu, fu, idn, fd, stop_prob, reward, g2, tol, maxit):
     for it in range(maxit):
-        diff = 0.0
-        for i in range(n):
-            ev = 0.5 * ((w[iu[i]] * (1.0 - fu[i]) + w[iu[i] + 1] * fu[i])
-                        + (w[idn[i]] * (1.0 - fd[i]) + w[idn[i] + 1] * fd[i]))
-            nv = stop_prob[i] * reward[i] + (1.0 - stop_prob[i]) * (g2 * ev)
-            d = abs(nv - w[i])
-            if d > diff:
-                diff = d
-            wn[i] = nv
+        ev = 0.5 * ((w[iu] * (1.0 - fu) + w[iu + 1] * fu)
+                    + (w[idn] * (1.0 - fd) + w[idn + 1] * fd))
+        wn = stop_prob * reward + (1.0 - stop_prob) * (g2 * ev)
+        diff = np.max(np.abs(wn - w))
         w[:] = wn
         if diff < tol:
             return it + 1
     return -maxit
-
-
-if NUMBA_ENABLED:
-    _vi_agent = njit(cache=True)(_py_vi_agent)
-    _eval_principal = njit(cache=True)(_py_eval_principal)
-else:
-    def _vi_agent(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
-                  surv, flow0, flow1, g1, tol, maxit):
-        for it in range(maxit):
-            ev0 = 0.5 * ((v[iu0] * (1.0 - fu0) + v[iu0 + 1] * fu0)
-                         + (v[id0] * (1.0 - fd0) + v[id0 + 1] * fd0))
-            ev1 = 0.5 * ((v[iu1] * (1.0 - fu1) + v[iu1 + 1] * fu1)
-                         + (v[id1] * (1.0 - fd1) + v[id1 + 1] * fd1))
-            vn = np.maximum(flow0 + g1 * surv * ev0, flow1 + g1 * surv * ev1)
-            diff = np.max(np.abs(vn - v))
-            v[:] = vn
-            if diff < tol:
-                return it + 1
-        return -maxit
-
-    def _eval_principal(w, iu, fu, idn, fd, stop_prob, reward, g2, tol, maxit):
-        for it in range(maxit):
-            ev = 0.5 * ((w[iu] * (1.0 - fu) + w[iu + 1] * fu)
-                        + (w[idn] * (1.0 - fd) + w[idn + 1] * fd))
-            wn = stop_prob * reward + (1.0 - stop_prob) * (g2 * ev)
-            diff = np.max(np.abs(wn - w))
-            w[:] = wn
-            if diff < tol:
-                return it + 1
-        return -maxit
 
 
 def _cutoff_from_w(z, reward, w):

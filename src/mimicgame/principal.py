@@ -85,6 +85,12 @@ def _solve_tridiag(a_grid, b_mask, pgrid, params: GameParams,
     gamma = pgrid * (1.0 - pgrid)
     diff = 0.5 * params.psi**2 * (1.0 - a_grid) ** 2 * gamma**2 / h**2
     r_term = termination_payoff(pgrid, params)
+    # The cell-overlap stop weight locates the cutoff inside its cell; that
+    # is sound only where the diffusion spreads W over a cell before the
+    # next opportunity (diff >= r2 + lam in grid units). At a nearly frozen
+    # node a fractional weight would price it below the no-information
+    # value lam R / (r2 + lam), so there the node stops iff p >= cutoff.
+    b_mask = np.where(diff < params.r2 + params.lam, b_mask >= 0.5, b_mask)
 
     # the diffusion dies at the clamped edges, so the exact edge values are
     # the frozen-belief annuities under the policy's own stopping indicator
@@ -140,19 +146,23 @@ def best_reply_cutoff(agent: AgentSolution, params: GameParams,
 
     Policy iteration on the stopping indicator: start from the myopic rule,
     alternate one tridiagonal solve with reassigning b = 1{R > W}, stop
-    when the switch point is stable. Returns (cutoff, W curve).
+    when the switch point moves by less than a thousandth of a grid cell.
+    Where the diffusion nearly dies at the cutoff the crossing keeps
+    wandering by rounding-level amounts, up to about 1e-4 of a cell on
+    refined grids, so the stop scales with the cell. Returns (cutoff, W curve).
     """
     pgrid = _belief_grid(params, grid_n, p_min)
     a_grid, _ = eval_agent(agent, logit(pgrid))
     r_term = termination_payoff(pgrid, params)
     p_ss, p_h = myopic_cutoffs(params)
+    tol = 1e-3 * (pgrid[1] - pgrid[0])
 
     cut = p_ss
     w = None
     for _ in range(policy_maxit):
         w = _solve_tridiag(a_grid, _stop_fraction(pgrid, cut), pgrid, params)
         new_cut = _crossing(pgrid, r_term - w)
-        if abs(new_cut - cut) < 1e-10:
+        if abs(new_cut - cut) < tol:
             cut = new_cut
             break
         cut = new_cut

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _simkernels
-from ._numba import NUMBA_ENABLED
 from .agent import eval_agent
 from .model import GameParams, Numerics, inv_logit, logit
 from .principal import Equilibrium
@@ -95,7 +94,6 @@ class SimReport:
     low_mimic_se: float
     censored_frac_ni: float
     censored_frac_i: float
-    lane: str
 
 
 @dataclass(frozen=True)
@@ -190,11 +188,11 @@ def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_type: str, num: Numerics
 
 
 def _run_type(eq: Equilibrium, cfg: SimConfig, agent_type: str,
-              num: Numerics, force_numpy=False, n_paths=None, path_offset=0):
+              num: Numerics, n_paths=None, path_offset=0):
     refine, args = _kernel_args(eq, cfg, agent_type, num)
     return _simkernels.run_main(
         **args, t_probe=cfg.t_probe, n_paths=cfg.n_paths if n_paths is None else n_paths,
-        force_numpy=force_numpy, path_offset=path_offset, dt_band=cfg.dt / refine)
+        path_offset=path_offset, dt_band=cfg.dt / refine)
 
 
 def simulate_path(eq: Equilibrium, agent_type: str, cfg: SimConfig,
@@ -212,7 +210,6 @@ def simulate_path(eq: Equilibrium, agent_type: str, cfg: SimConfig,
 
 def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
                     eps: float = 0.1, interval=(0.05, 0.95),
-                    force_numpy: bool | None = None,
                     with_diagnostic: bool = True) -> SimReport:
     """Aggregate type-conditioned runs into payoff and diagnostic estimates.
 
@@ -220,13 +217,12 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
     noninvestible type; the principal estimate weights the two
     type-conditioned lump-sum estimates by the prior p0. Draws come from
     per-path streams keyed by (seed, run, path), so reports are
-    reproducible bit for bit under a fixed lane.
+    reproducible bit for bit.
     """
     cfg = cfg.resolve(eq.params)
-    fnp = (not NUMBA_ENABLED) if force_numpy is None else force_numpy
     p = eq.params
-    res_ni = _run_type(eq, cfg, TYPE_NONINVESTIBLE, num, force_numpy=fnp)
-    res_i = _run_type(eq, cfg, TYPE_INVESTIBLE, num, force_numpy=fnp)
+    res_ni = _run_type(eq, cfg, TYPE_NONINVESTIBLE, num)
+    res_i = _run_type(eq, cfg, TYPE_INVESTIBLE, num)
 
     pay_ni = res_ni[:, 2]
     weights = (cfg.p0, 1.0 - cfg.p0)
@@ -234,8 +230,7 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
     mix_mean, mart_se = _mix(weights, (inv_logit(res_ni[:, 5]), inv_logit(res_i[:, 5])))
 
     if with_diagnostic:
-        diag = learning_diagnostic(eq, cfg, eps=eps, interval=interval, num=num,
-                                   force_numpy=fnp)
+        diag = learning_diagnostic(eq, cfg, eps=eps, interval=interval, num=num)
         low_mean, low_se = diag.value, diag.se
     else:
         low_mean, low_se = math.nan, math.nan
@@ -251,8 +246,7 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
         martingale_gap=abs(mix_mean - cfg.p0), martingale_se=mart_se,
         low_mimic_mean=low_mean, low_mimic_se=low_se,
         censored_frac_ni=float(np.mean(res_ni[:, 1] == 0.0)),
-        censored_frac_i=float(np.mean(res_i[:, 1] == 0.0)),
-        lane="numpy" if fnp else "numba")
+        censored_frac_i=float(np.mean(res_i[:, 1] == 0.0)))
 
 
 def dt_refinement(eq: Equilibrium, cfg: SimConfig,
@@ -270,10 +264,10 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     and the standard error of the paired difference V(dt) - V(dt/2)
     measures the bias itself rather than the spread of the payoffs.
 
-    Both legs advance through the same step function as the numpy lane of
-    estimate_values, so the check covers the scheme that produces the
-    reported values. Draws come from per-path Philox streams, so the result
-    does not depend on the batch partition.
+    Both legs advance through the same step function as estimate_values,
+    so the check covers the scheme that produces the reported values.
+    Draws come from per-path Philox streams, so the result does not
+    depend on the batch partition.
     """
     cfg = cfg.resolve(eq.params)
     p = eq.params
@@ -290,22 +284,20 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
 
 
 def martingale_check(eq: Equilibrium, cfg: SimConfig, t_probe: float,
-                     num: Numerics = Numerics(),
-                     force_numpy: bool | None = None) -> MartingaleResult:
+                     num: Numerics = Numerics()) -> MartingaleResult:
     """|E[p at (t_probe wedge T)] - p0| under the prior type mixture."""
     cfg = replace(cfg, t_probe=t_probe).resolve(eq.params)
     if cfg.t_probe > cfg.horizon:
         raise ValueError("t_probe beyond the simulation horizon")
-    fnp = (not NUMBA_ENABLED) if force_numpy is None else force_numpy
-    res_ni = _run_type(eq, cfg, TYPE_NONINVESTIBLE, num, force_numpy=fnp)
-    res_i = _run_type(eq, cfg, TYPE_INVESTIBLE, num, force_numpy=fnp)
+    res_ni = _run_type(eq, cfg, TYPE_NONINVESTIBLE, num)
+    res_i = _run_type(eq, cfg, TYPE_INVESTIBLE, num)
     mix, se = _mix((cfg.p0, 1.0 - cfg.p0), (inv_logit(res_ni[:, 5]), inv_logit(res_i[:, 5])))
     return MartingaleResult(gap=abs(mix - cfg.p0), se=se, mixture_mean=mix)
 
 
 def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
-                        interval=(0.05, 0.95), num: Numerics = Numerics(),
-                        force_numpy: bool | None = None) -> LearningDiagnostic:
+                        interval=(0.05, 0.95),
+                        num: Numerics = Numerics()) -> LearningDiagnostic:
     """Mean of r1 * int e^{-r1 t} 1{a(p_t) <= 1-eps} dt up to leaving the interval.
 
     Runs the noninvestible dynamics without termination: the clock stops
@@ -317,14 +309,13 @@ def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
     if not (0.0 < lo < cfg.p0 < hi < 1.0):
         raise ValueError("interval must strictly contain p0 inside (0, 1)")
     cfg = cfg.resolve(eq.params)
-    fnp = (not NUMBA_ENABLED) if force_numpy is None else force_numpy
     p = eq.params
     a_tab, z_lo, inv_dz = _policy_table(eq, cfg, num)
     res = _simkernels.run_diag(
         z0=logit(cfg.p0), z_int_lo=logit(lo), z_int_hi=logit(hi), psi=p.psi,
         r1=p.r1, u=p.u, c=p.c, a_thresh=1.0 - eps, dt=cfg.dt, horizon=cfg.horizon,
         a_tab=a_tab, z_lo=z_lo, inv_dz=inv_dz, n_paths=cfg.n_paths,
-        seed=cfg.seed, tag=_TAG_DIAG, batch=cfg.batch, force_numpy=fnp)
+        seed=cfg.seed, tag=_TAG_DIAG, batch=cfg.batch)
     vals = res[:, 3]
     return LearningDiagnostic(value=float(np.mean(vals)), se=_se(vals),
                               mean_disc_exit=float(np.mean(res[:, 2])),

@@ -14,6 +14,7 @@ from mimicgame.analysis import (
     sweep_psi,
 )
 from mimicgame.model import GameParams, benchmark_values, inv_logit, logit
+from mimicgame.principal import ConvergenceError
 
 FIG = GameParams(r1=0.5, r2=0.5, lam=2.0, psi=1.5, u=1.0, c=1.0, w_NI=1.0, w_I=-1.0)
 
@@ -134,7 +135,7 @@ def test_sweep_psi_rows_smoke():
     assert mid.p_star == pytest.approx(eq.p_star, abs=1e-6)
 
 
-def test_sweep_psi_continues_past_failures(monkeypatch):
+def _fail_first_solve(monkeypatch, exc):
     import mimicgame.analysis as analysis
 
     calls = {"n": 0}
@@ -143,13 +144,27 @@ def test_sweep_psi_continues_past_failures(monkeypatch):
     def flaky(params, grid_n=None, num=None):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise RuntimeError("synthetic failure")
+            raise exc
         return real(params, grid_n=grid_n, num=num)
 
     monkeypatch.setattr(analysis, "solve_equilibrium", flaky)
+
+
+def test_sweep_psi_continues_past_failures(monkeypatch):
+    _fail_first_solve(monkeypatch, ConvergenceError("synthetic failure"))
     rows = sweep_psi(FIG, [1.0, 1.5], probe_p=0.3, grid_n=1001)
     assert rows[0].error is not None and "synthetic" in rows[0].error
     assert rows[1].error is None
+
+
+@pytest.mark.parametrize("sweep, ladder", [(sweep_psi, [1.0, 1.5]),
+                                           (sweep_patience, [1.0, 0.5])],
+                         ids=["psi", "patience"])
+def test_sweeps_propagate_programming_errors(monkeypatch, sweep, ladder):
+    # only typed solver failures become error rows; a bug must surface
+    _fail_first_solve(monkeypatch, TypeError("synthetic bug"))
+    with pytest.raises(TypeError, match="synthetic bug"):
+        sweep(FIG, ladder, grid_n=1001)
 
 
 def test_sweep_patience_identity_row(fig_eq):

@@ -1,7 +1,7 @@
 """Discrete-time solver against the closed form (coarse settings for speed).
 
-The acceptance suite runs the production resolution; here the period is
-coarser so the whole file stays in seconds under the default lane.
+The period here is coarser than the CLI's oracle-check default of
+delta = 1e-3, to keep the file's run time down.
 """
 
 import numpy as np

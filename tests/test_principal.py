@@ -174,3 +174,25 @@ def test_principal_scheme_is_second_order(fig_eq):
     ratios = [a / b for a, b in zip(errs[:-1], errs[1:])]
     for r in ratios:
         assert 3.5 <= r <= 4.5
+
+
+@pytest.mark.parametrize("pars, grid_n", [
+    # patient players on a refined grid: the best reply wanders by
+    # rounding-level amounts, so its stop must scale with the grid cell
+    (FIG.with_(r1=0.05, r2=0.05), 8001),
+    # a nearly frozen node holds the cutoff: a fractional stop weight there
+    # priced W below the no-information value
+    (GameParams(r1=0.058, r2=2.53, lam=0.854, psi=4.27, u=1.0, c=1.34, w_NI=1.0, w_I=-0.531),
+     4001),
+], ids=["patient", "frozen-cutoff-node"])
+def test_equilibrium_when_belief_freezes_at_cutoff(pars, grid_n):
+    num = Numerics()
+    eq = mg.solve_equilibrium(pars, grid_n=grid_n)
+    assert eq.agent.a_peak > 1.0 - 1e-9          # mimicking stops the belief at the cutoff
+    p_ss, p_h = myopic_cutoffs(pars)
+    assert p_ss <= eq.p_star <= p_h
+    cut, _ = best_reply_cutoff(eq.agent, pars, grid_n)
+    assert abs(cut - eq.p_star) < num.fp_tol
+    w_under, w_over = benchmark_values(eq.W.states, pars)
+    assert np.all(eq.W.values >= w_under - 1e-9)
+    assert np.all(eq.W.values <= w_over + 1e-9)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import mimicgame as mg
-from mimicgame._numba import NUMBA_ENABLED
 from mimicgame.model import GameParams, logit
 from mimicgame.simulate import (
     SimConfig,
@@ -28,7 +27,8 @@ def fig_eq():
 
 @pytest.fixture(scope="module")
 def fig_report(fig_eq):
-    return estimate_values(fig_eq, SimConfig(p0=0.3, n_paths=20_000, seed=2))
+    return estimate_values(fig_eq, SimConfig(p0=0.3, n_paths=20_000, seed=2),
+                           with_diagnostic=False)
 
 
 def test_config_validation(fig_eq):
@@ -57,19 +57,6 @@ def test_batch_split_invariance(fig_eq):
     rb = estimate_values(fig_eq, split)
     assert ra == rb
     assert dt_refinement(fig_eq, base) == dt_refinement(fig_eq, split)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="single lane available")
-def test_lanes_agree(fig_eq):
-    cfg = SimConfig(p0=0.35, n_paths=400, seed=31)
-    ra = estimate_values(fig_eq, cfg, force_numpy=False)
-    rb = estimate_values(fig_eq, cfg, force_numpy=True)
-    # identical draws and identical trajectories; only libm rounding in the
-    # discount factors may differ
-    assert ra.agent_value_mean == pytest.approx(rb.agent_value_mean, rel=1e-9)
-    assert ra.principal_value_mean == pytest.approx(rb.principal_value_mean, rel=1e-9, abs=1e-12)
-    assert ra.disc_r1_ni_mean == pytest.approx(rb.disc_r1_ni_mean, rel=1e-9)
-    assert ra.martingale_gap == pytest.approx(rb.martingale_gap, rel=1e-6, abs=1e-12)
 
 
 def test_frozen_belief_degenerate_case():
@@ -123,8 +110,8 @@ def test_conditional_belief_drifts(fig_eq):
     from mimicgame.simulate import _run_type
     from mimicgame.model import Numerics, inv_logit
     cfg = SimConfig(p0=0.5, n_paths=8000, seed=6, t_probe=1.0).resolve(FIG)
-    res_ni = _run_type(fig_eq, cfg, "NI", Numerics(), force_numpy=not NUMBA_ENABLED)
-    res_i = _run_type(fig_eq, cfg, "I", Numerics(), force_numpy=not NUMBA_ENABLED)
+    res_ni = _run_type(fig_eq, cfg, "NI", Numerics())
+    res_i = _run_type(fig_eq, cfg, "I", Numerics())
     mean_ni = float(np.mean(inv_logit(res_ni[:, 5])))
     mean_i = float(np.mean(inv_logit(res_i[:, 5])))
     assert mean_ni > 0.5 + 0.01
@@ -139,7 +126,7 @@ def test_discount_factor_ordering():
     from mimicgame.simulate import _run_type
     from mimicgame.model import Numerics
     cfg = SimConfig(p0=0.4, n_paths=4000, seed=13).resolve(pars)
-    res = _run_type(eq, cfg, "NI", Numerics(), force_numpy=not NUMBA_ENABLED)
+    res = _run_type(eq, cfg, "NI", Numerics())
     d1 = res[:, 3]  # e^{-r1 T}
     d2 = res[:, 4]  # e^{-r2 T}, r2 = r1/2
     xi = float(np.mean(d1))
