@@ -3,9 +3,10 @@
 Given a principal termination cutoff z* (in logit coordinates), the
 noninvestible agent's mimicking policy a(z) and value v(z) have piecewise
 closed forms: exponential branches where a = 0 and normal-quantile
-branches inside the mixing region. The construction is anchored at z*, so
-every shape quantity (boundary values, region widths, the peak intensity)
-depends on the model parameters only and translates with z*.
+branches inside the mixing region. Their shape (boundary values, region
+widths relative to z*, the peak intensity) depends on the model
+parameters only, and z* merely translates it. An AgentSolution is that
+shape plus its anchor z_star, so moving the cutoff needs no rebuild.
 
 All tail-sensitive quantities are carried in log space; see gaussian.py.
 """
@@ -218,11 +219,13 @@ def solve_v_star(params: GameParams, num: Numerics = Numerics()) -> float:
 
 @dataclass(frozen=True)
 class AgentSolution:
-    """Frozen closed-form solution for one principal cutoff.
+    """Closed-form agent solution: a parameter-only shape anchored at z_star.
 
-    Raw branch coefficients (A1, B1, C1, C2, D1, D2) are kept for
-    inspection but may overflow at extreme anchors; evaluation runs on the
-    log-magnitude fields, which are exact for any |z - z_star|.
+    Every field but z_star depends on the parameters alone, and the
+    region edges z_L, z_R sit at fixed offsets from the anchor, so
+    dataclasses.replace(sol, z_star=z) is the solution for a cutoff at z.
+    Evaluation runs on the log-magnitude fields, which are exact for any
+    |z - z_star|; raw_coefficients gives the absolute branch coefficients.
     """
 
     params: GameParams
@@ -231,8 +234,6 @@ class AgentSolution:
     v_star: float
     v_L: float
     v_R: float
-    z_L: float
-    z_R: float
     xi_L: float
     xi_L_prime: float
     xi_R: float
@@ -241,16 +242,6 @@ class AgentSolution:
     kappa_R: float
     a_peak: float
     r_star: float
-    A1: float
-    B1: float
-    C1: float
-    C2: float
-    D1: float
-    D2: float
-    log_abs_A1: float
-    sign_A1: float
-    log_abs_B1: float
-    sign_B1: float
     # internal log-domain anchors (relative offsets from z_star)
     _zl_rel: float
     _zr_rel: float
@@ -267,6 +258,16 @@ class AgentSolution:
     _beta_r: float
     _mag_a: float
     _mag_b: float
+
+    @property
+    def z_L(self) -> float:
+        """Left edge of the mixing region (NaN when the agent never mixes)."""
+        return self.z_star + self._zl_rel
+
+    @property
+    def z_R(self) -> float:
+        """Right edge of the mixing region (NaN when the agent never mixes)."""
+        return self.z_star + self._zr_rel
 
 
 def build_agent_solution(params: GameParams, z_star: float,
@@ -287,25 +288,17 @@ def build_agent_solution(params: GameParams, z_star: float,
     v_l, v_r, kappa_l, kappa_r = boundary_values(params)
     m = r1 * u / (r1 + lam)
     tail_left = u + c
-    tail_right = r1 * (u + c) / (r1 + lam)
     mag_a = r1 * c / (xi_l * psi**2)       # v = u+c - mag_a exp(xi_L (z - z_L))
     mag_b = r1 * c / (-xi_r * psi**2)      # v = tail_right + mag_b exp(xi_R (z - z_R))
 
     if params.r1 >= r_star:
         # never mixes: two exponential branches pasted at z_star
         coef = lam * (u + c) / (r1 + lam) / (xi_l - xi_r)
-        a1 = xi_r * coef * math.exp(-xi_l * z_star) if abs(xi_l * z_star) < 700 else math.inf * np.sign(xi_r)
-        b1 = xi_l * coef * math.exp(-xi_r * z_star) if abs(xi_r * z_star) < 700 else math.inf
-        log_abs_a1 = math.log(-xi_r * coef) - xi_l * z_star
-        log_abs_b1 = math.log(xi_l * coef) - xi_r * z_star
         return AgentSolution(
             params=params, regime=REGIME_SEPARATING, z_star=z_star,
             v_star=tail_left + xi_r * coef, v_L=v_l, v_R=v_r,
-            z_L=math.nan, z_R=math.nan,
             xi_L=xi_l, xi_L_prime=xi_l_p, xi_R=xi_r, xi_R_prime=xi_r_p,
             kappa_L=kappa_l, kappa_R=kappa_r, a_peak=0.0, r_star=r_star,
-            A1=a1, B1=b1, C1=math.nan, C2=math.nan, D1=math.nan, D2=math.nan,
-            log_abs_A1=log_abs_a1, sign_A1=-1.0, log_abs_B1=log_abs_b1, sign_B1=1.0,
             _zl_rel=math.nan, _zr_rel=math.nan, _log_t1=math.nan,
             _log_den_l=math.nan, _log_den_r=math.nan,
             _log_sf_ql=math.nan, _log_sf_qsr=math.nan,
@@ -326,32 +319,50 @@ def build_agent_solution(params: GameParams, z_star: float,
     log_sf_qsr = float(log_norm_sf(q_star_r))
     a_peak = float(-np.expm1(maps.log_one_minus_minus(v_star)))
 
-    # raw coefficients, anchored at absolute positions (informational)
-    z_l = z_star + zl_rel
-    z_r = z_star + zr_rel
-    with np.errstate(over="ignore", under="ignore"):
-        a1 = -mag_a * math.exp(min(-xi_l * z_l, 700.0))
-        b1 = mag_b * math.exp(min(-xi_r * z_r, 700.0))
-        den_l = math.exp(log_den_l)
-        den_r = math.exp(log_den_r)
-        c1 = -den_l * math.exp(-z_star) if abs(z_star) < 700 else -math.inf
-        d1 = -den_r * math.exp(-z_star) if abs(z_star) < 700 else -math.inf
-    c2 = float(norm_cdf(maps.q_l)) + math.exp(log_t1)
-    d2 = float(norm_cdf(maps.q_r)) + math.exp(log_nr)
-
     return AgentSolution(
         params=params, regime=REGIME_HUMP, z_star=z_star, v_star=v_star,
-        v_L=v_l, v_R=v_r, z_L=z_l, z_R=z_r,
+        v_L=v_l, v_R=v_r,
         xi_L=xi_l, xi_L_prime=xi_l_p, xi_R=xi_r, xi_R_prime=xi_r_p,
         kappa_L=kappa_l, kappa_R=kappa_r, a_peak=a_peak, r_star=r_star,
-        A1=a1, B1=b1, C1=c1, C2=c2, D1=d1, D2=d2,
-        log_abs_A1=math.log(mag_a) - xi_l * z_l, sign_A1=-1.0,
-        log_abs_B1=math.log(mag_b) - xi_r * z_r, sign_B1=1.0,
         _zl_rel=zl_rel, _zr_rel=zr_rel, _log_t1=log_t1,
         _log_den_l=log_den_l, _log_den_r=log_den_r,
         _log_sf_ql=log_sf_ql, _log_sf_qsr=log_sf_qsr,
         _q_l=maps.q_l, _q_r=maps.q_r, _q_star_l=q_star_l, _q_star_r=q_star_r,
         _beta_l=maps.beta_l, _beta_r=maps.beta_r, _mag_a=mag_a, _mag_b=mag_b)
+
+
+def raw_coefficients(sol: AgentSolution) -> dict:
+    """Branch coefficients anchored at absolute positions, for reporting.
+
+    v = u + c + A1 exp(xi_L z) left of the mixing region (left of z_star
+    when the agent never mixes) and v = r1 (u + c)/(r1 + lam) + B1 exp(xi_R z)
+    right of it. Inside it, Phi((v - u)/sqrt(kappa_L)) = C1 exp(z) + C2 left
+    of z_star and Phi((v - m)/sqrt(kappa_R)) = D1 exp(z) + D2 right of it,
+    with m = r1 u/(r1 + lam). The raw values saturate at extreme anchors
+    (at exp(700) or infinity); log_abs_A1 and log_abs_B1 stay exact.
+    """
+    z_star, xi_l, xi_r = sol.z_star, sol.xi_L, sol.xi_R
+    if sol.regime == REGIME_SEPARATING:
+        a1 = -sol._mag_a * math.exp(-xi_l * z_star) if abs(xi_l * z_star) < 700 else -math.inf
+        b1 = sol._mag_b * math.exp(-xi_r * z_star) if abs(xi_r * z_star) < 700 else math.inf
+        return {"A1": a1, "B1": b1, "C1": math.nan, "C2": math.nan,
+                "D1": math.nan, "D2": math.nan,
+                "log_abs_A1": math.log(sol._mag_a) - xi_l * z_star, "sign_A1": -1.0,
+                "log_abs_B1": math.log(sol._mag_b) - xi_r * z_star, "sign_B1": 1.0}
+    z_l, z_r = sol.z_L, sol.z_R
+    log_nr = math.log(sol._beta_r) + float(log_norm_pdf(sol._q_r))
+    with np.errstate(over="ignore", under="ignore"):
+        a1 = -sol._mag_a * math.exp(min(-xi_l * z_l, 700.0))
+        b1 = sol._mag_b * math.exp(min(-xi_r * z_r, 700.0))
+        den_l = math.exp(sol._log_den_l)
+        den_r = math.exp(sol._log_den_r)
+        c1 = -den_l * math.exp(-z_star) if abs(z_star) < 700 else -math.inf
+        d1 = -den_r * math.exp(-z_star) if abs(z_star) < 700 else -math.inf
+    c2 = float(norm_cdf(sol._q_l)) + math.exp(sol._log_t1)
+    d2 = float(norm_cdf(sol._q_r)) + math.exp(log_nr)
+    return {"A1": a1, "B1": b1, "C1": c1, "C2": c2, "D1": d1, "D2": d2,
+            "log_abs_A1": math.log(sol._mag_a) - xi_l * z_l, "sign_A1": -1.0,
+            "log_abs_B1": math.log(sol._mag_b) - xi_r * z_r, "sign_B1": 1.0}
 
 
 def _eval_hump(sol: AgentSolution, zrel, want_derivs):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agent import SeparatingRegimeError, eval_agent
+from .agent import SeparatingRegimeError, eval_agent, raw_coefficients
 from .analysis import classify_ep_shape, expected_performance, sweep_patience, sweep_psi
 from .model import GameParams, Numerics, benchmark_values, logit, myopic_cutoffs
 from .oracle import DiscreteGame, OscillationError, discrete_equilibrium
@@ -160,10 +160,7 @@ def _cmd_solve(params, numerics, cblock, out: Path, args):
         "p_star_star": p_ss,
         "p_H": p_h,
         "coefficients": {
-            "A1": agent.A1, "B1": agent.B1, "C1": agent.C1, "C2": agent.C2,
-            "D1": agent.D1, "D2": agent.D2,
-            "log_abs_A1": agent.log_abs_A1, "sign_A1": agent.sign_A1,
-            "log_abs_B1": agent.log_abs_B1, "sign_B1": agent.sign_B1,
+            **raw_coefficients(agent),
             "xi_L": agent.xi_L, "xi_L_prime": agent.xi_L_prime,
             "xi_R": agent.xi_R, "xi_R_prime": agent.xi_R_prime,
             "kappa_L": agent.kappa_L, "kappa_R": agent.kappa_R,

@@ -47,24 +47,26 @@ class OscillationError(RuntimeError):
     """The damped conjecture iteration failed to settle."""
 
 
+# Fixed controls of the conjecture loop and its inner solves.
+_DZ_PER_DELTA = 1.0      # grid spacing as a multiple of psi * delta
+_DAMPING = 0.5           # conjecture step weight in the approach phase
+_POLISH_DAMPING = 0.12
+_APPROACH_ROUNDS = 40
+_POLISH_ROUNDS = 200
+_AVG_WINDOW = 100        # trailing rounds averaged into the final conjecture
+_TOL_INNER = 1e-8        # sup-norm stop for both value loops
+_TOL_OUTER = 1e-5        # early-exit test on the conjecture movement
+_VI_MAXIT = 400_000
+_A_CAP = 1.0 - 1e-6
+_ROOT_ITERS = 48         # bisection depth for the indifference root
+
+
 @dataclass(frozen=True)
 class DiscreteGame:
     """Discretization controls for the period game."""
 
     delta: float = 1e-3          # period length
     z_max: float = 10.0          # grid half-width in logit units
-    dz_per_delta: float = 1.0    # grid spacing as a multiple of psi * delta
-    damping: float = 0.5         # conjecture step weight in the approach phase
-    polish_damping: float = 0.12
-    approach_rounds: int = 40
-    polish_rounds: int = 200
-    avg_window: int = 100        # trailing rounds averaged into the final conjecture
-    tol_inner: float = 1e-8      # sup-norm stop for both value loops
-    tol_outer: float = 1e-5      # early-exit test on the conjecture movement
-    max_outer: int = 500
-    vi_maxit: int = 400_000
-    a_cap: float = 1.0 - 1e-6
-    root_iters: int = 48         # bisection depth for the indifference root
 
     def __post_init__(self):
         if self.delta <= 0.0 or self.z_max <= 0.0:
@@ -134,19 +136,17 @@ def _cutoff_from_w(z, reward, w):
 class _AgentStage:
     """Transitions and indifference roots for one parameter set."""
 
-    def __init__(self, params: GameParams, dg: DiscreteGame, z, dz):
+    def __init__(self, params: GameParams, delta: float, z, dz):
         self.z = z
         self.dz = dz
         self.n = z.size
         self.psi = params.psi
-        self.delta = dg.delta
-        self.sd = params.psi * math.sqrt(dg.delta)
-        self.g1 = math.exp(-params.r1 * dg.delta)
+        self.delta = delta
+        self.sd = params.psi * math.sqrt(delta)
+        self.g1 = math.exp(-params.r1 * delta)
         self.flow0 = (1.0 - self.g1) * (params.u + params.c)
         self.flow1 = (1.0 - self.g1) * params.u
         self.cost = (1.0 - self.g1) * params.c
-        self.cap = dg.a_cap
-        self.root_iters = dg.root_iters
 
     def _targets(self, a_hat):
         one_m = 1.0 - a_hat
@@ -156,14 +156,14 @@ class _AgentStage:
         return (z + drift0 + sd * one_m, z + drift0 - sd * one_m,
                 z + drift1 + sd * one_m, z + drift1 - sd * one_m)
 
-    def value_iterate(self, v, a_hat, surv, tol, maxit):
+    def value_iterate(self, v, a_hat, surv):
         t0u, t0d, t1u, t1d = self._targets(a_hat)
         iu0, fu0 = _gather_weights(t0u, self.z[0], self.dz, self.n)
         id0, fd0 = _gather_weights(t0d, self.z[0], self.dz, self.n)
         iu1, fu1 = _gather_weights(t1u, self.z[0], self.dz, self.n)
         id1, fd1 = _gather_weights(t1d, self.z[0], self.dz, self.n)
         return _vi_agent(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
-                         surv, self.flow0, self.flow1, self.g1, tol, maxit)
+                         surv, self.flow0, self.flow1, self.g1, _TOL_INNER, _VI_MAXIT)
 
     def _interp(self, v, zq):
         i, f = _gather_weights(zq, self.z[0], self.dz, self.n)
@@ -179,9 +179,9 @@ class _AgentStage:
     def indifference_root(self, v, surv):
         """Conjecture making the agent indifferent, zero where unsustainable."""
         lo = np.zeros(self.n)
-        hi = np.full(self.n, self.cap)
+        hi = np.full(self.n, _A_CAP)
         active = self._mimic_gain(v, surv, lo) > 0.0
-        for _ in range(self.root_iters):
+        for _ in range(_ROOT_ITERS):
             mid = 0.5 * (lo + hi)
             up = self._mimic_gain(v, surv, mid) > 0.0
             lo = np.where(up, mid, lo)
@@ -199,7 +199,7 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
     """
     r2, lam, psi = params.r2, params.lam, params.psi
     delta = dg.delta
-    dz = min(psi * delta * dg.dz_per_delta, psi * math.sqrt(delta))
+    dz = min(psi * delta * _DZ_PER_DELTA, psi * math.sqrt(delta))
     half = int(math.ceil(dg.z_max / dz))
     n = 2 * half + 1
     z = (np.arange(n) - half) * dz
@@ -211,10 +211,10 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
         raise ValueError("delta too coarse: arrival probability must stay below 0.5")
     g2 = math.exp(-r2 * delta)
     sd = psi * math.sqrt(delta)
-    stage = _AgentStage(params, dg, z, dz)
+    stage = _AgentStage(params, delta, z, dz)
 
     a_hat = np.zeros(n) if init_a is None else np.clip(
-        np.asarray(init_a, float).copy(), 0.0, dg.a_cap)
+        np.asarray(init_a, float).copy(), 0.0, _A_CAP)
     v = np.zeros(n)
     w = np.zeros(n)
     b = reward > 0.0
@@ -230,7 +230,7 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
         for _ in range(100):
             stop_prob = p_arrive * b.astype(float)
             it_w = _eval_principal(w, iuw, fuw, idw, fdw, stop_prob, reward,
-                                   g2, dg.tol_inner, dg.vi_maxit)
+                                   g2, _TOL_INNER, _VI_MAXIT)
             if it_w < 0:
                 raise OscillationError("principal value evaluation exhausted its budget")
             b_new = reward > w
@@ -239,15 +239,13 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
             b = b_new
         raise OscillationError("stopping-policy iteration did not settle")
 
-    total_rounds = dg.approach_rounds + dg.polish_rounds
-    if total_rounds > dg.max_outer:
-        raise ValueError("approach_rounds + polish_rounds exceeds max_outer")
+    total_rounds = _APPROACH_ROUNDS + _POLISH_ROUNDS
     outer_res = math.inf
     outer = 0
     settled = False
     for outer in range(1, total_rounds + 1):
         surv = 1.0 - p_arrive * b.astype(float)
-        it_a = stage.value_iterate(v, a_hat, surv, dg.tol_inner, dg.vi_maxit)
+        it_a = stage.value_iterate(v, a_hat, surv)
         if it_a < 0:
             raise OscillationError("agent value iteration exhausted its sweep budget")
         principal_round(a_hat)
@@ -255,12 +253,12 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
         target = stage.indifference_root(v, surv)
         step = target - a_hat
         outer_res = float(np.max(np.abs(step)))
-        wgt = dg.damping if outer <= dg.approach_rounds else dg.polish_damping
-        a_hat = np.clip(a_hat + wgt * step, 0.0, dg.a_cap)
-        if outer > total_rounds - dg.avg_window:
+        wgt = _DAMPING if outer <= _APPROACH_ROUNDS else _POLISH_DAMPING
+        a_hat = np.clip(a_hat + wgt * step, 0.0, _A_CAP)
+        if outer > total_rounds - _AVG_WINDOW:
             acc += a_hat
             n_acc += 1
-        if outer_res < dg.tol_outer:
+        if outer_res < _TOL_OUTER:
             settled = True
             break
 
@@ -276,7 +274,7 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
     # until the stopping mask stops moving, so the returned objects cohere
     for _ in range(25):
         surv = 1.0 - p_arrive * b.astype(float)
-        it_a = stage.value_iterate(v, a_hat, surv, dg.tol_inner, dg.vi_maxit)
+        it_a = stage.value_iterate(v, a_hat, surv)
         if it_a < 0:
             raise OscillationError("agent value iteration exhausted its sweep budget")
         b_before = b.copy()

@@ -12,7 +12,7 @@ agent best-responds to a conjectured cutoff, the principal best-responds
 to the induced policy, and bisection finds the consistent point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -179,14 +179,16 @@ def solve_equilibrium(params: GameParams, grid_n: int | None = None,
     The map phi sends a conjectured cutoff to the principal's best reply
     against the agent's reaction; it is continuous and lands in
     [p**, p_H], so g(p) = phi(p) - p changes sign on that interval and
-    bisection pins the unique fixed point.
+    bisection pins the unique fixed point. The agent's reaction to each
+    conjecture is one closed-form shape re-anchored at the conjectured cutoff.
     """
     if grid_n is None:
         grid_n = num.grid_n
     p_ss, p_h = myopic_cutoffs(params)
+    shape = build_agent_solution(params, logit(p_ss), num)
 
     def phi(p_conj):
-        agent = build_agent_solution(params, logit(p_conj), num)
+        agent = replace(shape, z_star=logit(p_conj))
         cut, w = best_reply_cutoff(agent, params, grid_n, num.p_min, num.policy_maxit)
         return cut, agent, w
 

@@ -5,6 +5,10 @@ digits from the same defining equations (survival-function form to dodge
 cancellation) and frozen here.
 """
 
+import math
+import warnings
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +16,13 @@ import mimicgame as mg
 from mimicgame.agent import (
     REGIME_HUMP,
     REGIME_SEPARATING,
+    AgentSolution,
     SeparatingRegimeError,
     eval_agent_derivs,
     hjb_residual,
     log_one_minus_map_minus,
     log_one_minus_map_plus,
+    raw_coefficients,
 )
 from mimicgame.model import GameParams, inv_logit, logit
 
@@ -191,7 +197,8 @@ def test_build_fig_region_boundaries():
     assert inv_logit(sol.z_R) == pytest.approx(0.633, abs=0.01)
     assert sol.z_L < sol.z_star < sol.z_R
     assert sol.v_R < sol.v_star < sol.v_L
-    assert sol.C1 < 0 and sol.D1 < 0
+    coef = raw_coefficients(sol)
+    assert coef["C1"] < 0 and coef["D1"] < 0
     assert sol.a_peak == pytest.approx(A_PEAK_FIG, abs=1e-12)
 
 
@@ -236,8 +243,9 @@ def test_build_separating_structure():
 
 def test_translation_invariance():
     shift = 0.7
-    sol0 = mg.build_agent_solution(FIG, logit(0.565))
-    sol1 = mg.build_agent_solution(FIG, logit(0.565) + shift)
+    z0 = logit(0.565)
+    sol0 = mg.build_agent_solution(FIG, z0)
+    sol1 = mg.build_agent_solution(FIG, z0 + shift)
     assert sol1.z_L == pytest.approx(sol0.z_L + shift, abs=1e-10)
     assert sol1.z_R == pytest.approx(sol0.z_R + shift, abs=1e-10)
     assert sol1.v_star == pytest.approx(sol0.v_star, abs=1e-10)
@@ -246,6 +254,14 @@ def test_translation_invariance():
     a1, v1 = mg.eval_agent(sol1, z + shift)
     assert np.max(np.abs(a1 - a0)) < 1e-10
     assert np.max(np.abs(v1 - v0)) < 1e-10
+    # moving the anchor of a built solution is building at the new cutoff,
+    # field for field, in the hump, separating and wide-mixing regimes
+    for pars in (FIG, FIG.with_(r1=2.0), FIG.with_(psi=20.0)):
+        built = mg.build_agent_solution(pars, z0 + shift)
+        moved = replace(mg.build_agent_solution(pars, z0), z_star=z0 + shift)
+        for f in fields(AgentSolution):
+            x, y = getattr(moved, f.name), getattr(built, f.name)
+            assert x == y or (x != x and y != y), f.name
 
 
 def test_eval_limits_and_peak():
@@ -336,3 +352,8 @@ def test_eval_agent_large_psi_no_overflow():
     assert np.all(np.diff(v) <= 1e-12)
     # the mixing region is extremely wide at this signal-to-noise ratio
     assert sol.z_L < -150
+    # the raw coefficients saturate there, silently, and their logs stay exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef = raw_coefficients(sol)
+    assert math.isfinite(coef["log_abs_A1"]) and math.isfinite(coef["log_abs_B1"])

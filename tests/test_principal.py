@@ -124,6 +124,22 @@ def test_grid_convergence_second_order():
     assert d3 < 4 * d2  # loose: second-order-ish behavior, not noise
 
 
+def test_equilibrium_builds_the_agent_once(monkeypatch):
+    # each conjectured cutoff re-anchors one closed-form shape
+    from mimicgame import principal
+
+    build = principal.build_agent_solution
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(principal, "build_agent_solution", counting_build)
+    mg.solve_equilibrium(FIG)
+    assert len(calls) == 1
+
+
 def test_fixed_point_single_sign_change(fig_eq):
     # scan the best-reply map; its displacement changes sign exactly once
     p_ss, p_h = myopic_cutoffs(FIG)
