@@ -1,10 +1,15 @@
 """Path-stepping kernels for the belief simulator.
 
-Each run steps its paths in batches of numpy arrays, one row per path. All
+Each run steps its paths in one pool of numpy arrays, one row per path in
+flight and at most `batch` rows wide. A row whose path finishes writes the
+outcome to the path's slot of the output and takes the next path from the
+queue; once the queue is empty, finished rows are dropped whenever they
+make up half the pool. A path's draw buffers stay in the buffer row it was
+admitted to, so dropping rows copies only the per-path state. All
 randomness comes from per-path counter-based Philox streams keyed by
 (seed, run tag, path index), consumed one normal per diffusion step and
-one exponential per opportunity arrival, so a path's trajectory does not
-depend on the batch it runs in.
+one exponential per opportunity arrival, so a path's trajectory depends
+neither on the row it runs in nor on the width of the pool.
 
 Paths freeze once |z| reaches the truncation cap, after which their fate
 is deterministic and closed in one shot. Steps are clipped to the next
@@ -47,6 +52,12 @@ _DEAD = 1 << 62        # unit position of a finished leg in the coupled run
 def _gen(seed, tag, idx, stream):
     return Generator(Philox(key=np.array([seed, (tag << 48) + 2 * idx + stream],
                                          dtype=np.uint64)))
+
+
+def _queued(free, n_started, n_paths):
+    """Rows of free that take queued paths, and the paths' indices, in queue order."""
+    rows = free[:n_paths - n_started]
+    return rows, np.arange(n_started, n_started + rows.size)
 
 
 def _interp(a_tab, z_lo, inv_dz, zv):
@@ -106,36 +117,57 @@ def _close_frozen(frozen, z, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon,
     return T[frozen], np.where(will_stop, 1.0, 0.0)[frozen]
 
 
-def _main_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
-                    band_lo, band_hi, horizon, z_cap,
-                    t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset,
-                    exp_scale):
+def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
+             t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag,
+             batch=4096, path_offset=0,
+             dt_band=None, band_lo=np.inf, band_hi=-np.inf):
+    """Simulate n_paths of the game; columns (T, stopped, pay, e^{-r1 T}, e^{-r2 T}, z_probe).
+
+    Row j of the result is the path with stream index path_offset + j; at
+    most batch paths are in flight at once.
+    """
+    drift_c = drift_sign * 0.5 * psi * psi
+    exp_scale = 1.0 / lam
+    if dt_band is None:
+        dt_band = dt
     e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt); e2dt = math.exp(-r2 * dt)
     e1db = math.exp(-r1 * dt_band); em1db = -math.expm1(-r1 * dt_band)
     e2db = math.exp(-r2 * dt_band)
-    n = n_paths
-    gens_n = [_gen(seed, tag, path_offset + i, 0) for i in range(n)]
-    gens_e = [_gen(seed, tag, path_offset + i, 1) for i in range(n)]
     interp = partial(_interp, a_tab, z_lo, inv_dz)
+    out = np.empty((n_paths, 6))
 
-    t = np.zeros(n); z = np.full(n, z0)
-    d1 = np.ones(n); d2 = np.ones(n); pay = np.zeros(n)
-    zpr = np.zeros(n); prdone = np.zeros(n, dtype=bool)
-    out_T = np.zeros(n); out_stop = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    n = min(batch, n_paths)
+    path = np.zeros(n, dtype=np.int64)       # path held by each row
+    slot = np.arange(n)                      # row of the draw buffers it reads
+    alive = np.zeros(n, dtype=bool)
+    gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
+    t = np.empty(n); z = np.empty(n); d1 = np.empty(n); d2 = np.empty(n); pay = np.empty(n)
+    zpr = np.empty(n); prdone = np.empty(n, dtype=bool)
+    echunk = np.empty((n, _CHUNK_E)); epos = np.empty(n, dtype=np.int64); arr = np.empty(n)
+    nchunk = np.empty((n, _CHUNK_N)); npos = np.empty(n, dtype=np.int64)
+    started = 0
 
-    echunk = np.empty((n, _CHUNK_E))
-    for i in range(n):
-        echunk[i] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
-    epos = np.ones(n, dtype=np.int64)
-    arr = echunk[:, 0].copy()
+    def admit(free):
+        nonlocal started
+        r, j = _queued(free, started, n_paths)
+        started += r.size
+        path[r] = j
+        for i in r:
+            gens_n[i] = _gen(seed, tag, path_offset + int(path[i]), 0)
+            gens_e[i] = _gen(seed, tag, path_offset + int(path[i]), 1)
+            echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
+            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
+        t[r] = 0.0; z[r] = z0; d1[r] = 1.0; d2[r] = 1.0; pay[r] = 0.0
+        prdone[r] = False; epos[r] = 1; arr[r] = echunk[slot[r], 0]; npos[r] = 0
+        alive[r] = True
 
-    L = _CHUNK_N
-    nchunk = np.empty((n, L))
-    for i in range(n):
-        nchunk[i] = gens_n[i].standard_normal(L)
-    col = 0
+    def finish(mask, T, stopped):
+        j = path[mask]
+        out[j, 0] = T; out[j, 1] = stopped
+        out[j, 2] = pay[mask]; out[j, 3] = d1[mask]; out[j, 4] = d2[mask]; out[j, 5] = zpr[mask]
+        alive[mask] = False
 
+    admit(np.arange(n))
     while alive.any():
         # probe capture at step boundaries
         cap = alive & ~prdone & (t >= t_probe)
@@ -143,17 +175,15 @@ def _main_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
 
         frozen = alive & (np.abs(z) >= z_cap)
         if frozen.any():
-            out_T[frozen], out_stop[frozen] = _close_frozen(
-                frozen, z, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon, interp)
+            T, stopped = _close_frozen(frozen, z, t, arr, pay, d1, d2, z_star,
+                                       r1, r2, u, c, horizon, interp)
             late = frozen & ~prdone
             zpr[late] = z[late]; prdone[late] = True
-            alive &= ~frozen
-            if not alive.any():
-                break
+            finish(frozen, T, stopped)
 
         in_band = (band_lo < z) & (z < band_hi)
         h = np.where(in_band, dt_band, dt)
-        lim = np.zeros(n, dtype=np.int8)
+        lim = np.zeros(alive.size, dtype=np.int8)
         m1 = (arr - t) < h
         h[m1] = (arr - t)[m1]; lim[m1] = 1
         m2 = (horizon - t) < h
@@ -166,72 +196,65 @@ def _main_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
             em1 = np.where(full, np.where(in_band, em1db, em1dt), -np.expm1(-r1 * h))
             e2 = np.where(full, np.where(in_band, e2db, e2dt), np.exp(-r2 * h))
 
-        if col >= L:
-            for i in np.nonzero(alive)[0]:
-                nchunk[i] = gens_n[i].standard_normal(L)
-            col = 0
-        nrm = nchunk[:, col]; col += 1
+        spent = npos >= _CHUNK_N
+        for i in np.nonzero(spent & alive)[0]:
+            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
+        npos[spent] = 0
+        nrm = nchunk[slot, npos]; npos += 1
 
         z_new, pay_new, d1_new, d2_new = _advance(z, pay, d1, d2, h, nrm, e1, em1, e2,
                                                   drift_c, psi, u, c, interp)
-        pay[alive] = pay_new[alive]
-        z[alive] = z_new[alive]
-        d1[alive] = d1_new[alive]
-        d2[alive] = d2_new[alive]
-        t[alive] = (t + h)[alive]
+        np.copyto(pay, pay_new, where=alive); np.copyto(z, z_new, where=alive)
+        np.copyto(d1, d1_new, where=alive); np.copyto(d2, d2_new, where=alive)
+        np.copyto(t, t + h, where=alive)
 
         hit = alive & (lim == 1)
         if hit.any():
             stop_now = hit & (z >= z_star)
             late = stop_now & ~prdone
             zpr[late] = z[late]; prdone[late] = True
-            out_T[stop_now] = t[stop_now]; out_stop[stop_now] = 1.0
-            alive &= ~stop_now
+            finish(stop_now, t[stop_now], 1.0)
             cont = hit & alive
             if cont.any():
                 idxs = np.nonzero(cont)[0]
-                need = idxs[epos[idxs] >= _CHUNK_E]
-                for i in need:
-                    echunk[i] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
+                for i in idxs[epos[idxs] >= _CHUNK_E]:
+                    echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
                     epos[i] = 0
-                arr[idxs] = t[idxs] + echunk[idxs, epos[idxs]]
+                arr[idxs] = t[idxs] + echunk[slot[idxs], epos[idxs]]
                 epos[idxs] += 1
 
         hz = alive & (lim == 2)
         if hz.any():
             late = hz & ~prdone
             zpr[late] = z[late]; prdone[late] = True
-            out_T[hz] = horizon; out_stop[hz] = 0.0
-            alive &= ~hz
+            finish(hz, horizon, 0.0)
 
-    out = np.empty((n, 6))
-    out[:, 0] = out_T; out[:, 1] = out_stop; out[:, 2] = pay
-    out[:, 3] = d1; out[:, 4] = d2; out[:, 5] = zpr
+        # refill finished rows from the queue; once it is empty, drop
+        # finished rows when they make up half the pool (the draw buffers
+        # stay in place)
+        live = np.count_nonzero(alive)
+        if started < n_paths:
+            if live < alive.size:
+                admit(np.nonzero(~alive)[0])
+        elif 2 * live <= alive.size:
+            keep = np.nonzero(alive)[0]
+            (path, slot, alive, gens_n, gens_e, t, z, d1, d2, pay, zpr, prdone, epos, arr,
+             npos) = (x[keep] for x in (path, slot, alive, gens_n, gens_e, t, z, d1, d2, pay,
+                                        zpr, prdone, epos, arr, npos))
     return out
 
 
-def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
-             t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag,
-             batch=4096, path_offset=0,
-             dt_band=None, band_lo=np.inf, band_hi=-np.inf):
-    """Simulate n_paths of the game; columns (T, stopped, pay, e^{-r1 T}, e^{-r2 T}, z_probe)."""
+def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, horizon,
+                z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi,
+                batch=4096):
+    """Simulate n_paths at dt and at dt/2 on shared Brownian paths.
+
+    Returns shape (2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns
+    (T, stopped, pay, e^{-r1 T}, e^{-r2 T}). At most batch paths are in
+    flight at once.
+    """
     drift_c = drift_sign * 0.5 * psi * psi
     exp_scale = 1.0 / lam
-    if dt_band is None:
-        dt_band = dt
-    chunks = []
-    for off in range(0, n_paths, batch):
-        nb = min(batch, n_paths - off)
-        chunks.append(_main_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, dt_band,
-                                  band_lo, band_hi, horizon,
-                                  z_cap, t_probe, a_tab, z_lo, inv_dz, nb, seed, tag,
-                                  path_offset + off, exp_scale))
-    return np.vstack(chunks)
-
-
-def _coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
-                   band_lo, band_hi, horizon, z_cap, a_tab, z_lo, inv_dz,
-                   n_paths, seed, tag, path_offset, exp_scale):
     # leg 0 steps at dt (dt/refine in the band), leg 1 at dt/2 (dt/(2 refine));
     # every step spans a whole number of units of length du
     du = dt / (2 * refine)
@@ -242,26 +265,33 @@ def _coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
     chunk = max(_CHUNK_N, 2 * kmax + 2)
     ring_len = 2 * chunk
     interp = partial(_interp, a_tab, z_lo, inv_dz)
-    n = n_paths
-    gens_n = [_gen(seed, tag, path_offset + i, 0) for i in range(n)]
-    gens_e = [_gen(seed, tag, path_offset + i, 1) for i in range(n)]
+    out = np.empty((2, n_paths, 5))
 
     # Per path: the shared arrival clock and Brownian path. ring holds the
     # running sums C[q] of the path's unit normals for q in
     # [filled - ring_len, filled), at slot q % ring_len; the units of the
     # current segment are normals base, base + 1, ... Differencing running
     # sums costs only rounding at their scale, far below what the check resolves.
+    n = min(batch, n_paths)
+    path = np.zeros(n, dtype=np.int64)       # path held by each row
+    slot = np.arange(n)                      # row of the draw buffers it reads
+    gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
     ring = np.zeros((n, ring_len))
     echunk = np.empty((n, _CHUNK_E))
-    for i in range(n):
-        ring[i, 1:chunk] = np.cumsum(gens_n[i].standard_normal(chunk - 1))
-        echunk[i] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
-    filled = np.full(n, chunk, dtype=np.int64)
-    base = np.zeros(n, dtype=np.int64)
-    epos = np.ones(n, dtype=np.int64)
-    anchor = np.zeros(n); arr = echunk[:, 0].copy()
+    filled = np.empty(n, dtype=np.int64); base = np.empty(n, dtype=np.int64)
+    epos = np.empty(n, dtype=np.int64)
+    anchor = np.empty(n); arr = np.empty(n)
     seg_end = np.empty(n); n_full = np.empty(n, dtype=np.int64)
     n_end = np.empty(n, dtype=np.int64); sfrac = np.empty(n)
+
+    # Per leg and path: m counts the units walked in the current segment;
+    # a leg with m >= n_end waits at the segment's end, and m == _DEAD marks
+    # a finished leg, whose outcome is already in out.
+    shape = (2, n)
+    z = np.empty(shape); d1 = np.empty(shape); d2 = np.empty(shape); pay = np.empty(shape)
+    m = np.full(shape, _DEAD, dtype=np.int64)
+    off = slot * ring_len
+    started = 0
 
     def open_segment(r):
         # a segment runs from the last arrival to the next one or the horizon:
@@ -274,24 +304,29 @@ def _coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
         n_end[r] = units + (frac > 0.0)
         sfrac[r] = np.sqrt(frac)
 
-    open_segment(slice(None))
-
-    # Per leg and path: m counts the units walked in the current segment;
-    # a leg with m >= n_end waits at the segment's end, and m == _DEAD marks
-    # a finished leg, whose outcome is already in out.
-    shape = (2, n)
-    z = np.full(shape, z0); d1 = np.ones(shape); d2 = np.ones(shape); pay = np.zeros(shape)
-    m = np.zeros(shape, dtype=np.int64)
-    out = np.empty((2, n, 5))
-    rows = np.arange(n)      # original index of each (compacted) row
-    off = rows * ring_len
+    def admit(free):
+        nonlocal started
+        r, j = _queued(free, started, n_paths)
+        started += r.size
+        path[r] = j
+        for i in r:
+            gens_n[i] = _gen(seed, tag, int(path[i]), 0)
+            gens_e[i] = _gen(seed, tag, int(path[i]), 1)
+            ring[slot[i], 0] = 0.0
+            ring[slot[i], 1:chunk] = np.cumsum(gens_n[i].standard_normal(chunk - 1))
+            echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
+        filled[r] = chunk; base[r] = 0; epos[r] = 1
+        anchor[r] = 0.0; arr[r] = echunk[slot[r], 0]
+        open_segment(r)
+        z[:, r] = z0; d1[:, r] = 1.0; d2[:, r] = 1.0; pay[:, r] = 0.0; m[:, r] = 0
 
     def finish(mask, T, stopped):
         leg, col = np.nonzero(mask)
-        out[leg, rows[col]] = np.stack([T, stopped, pay[mask], d1[mask], d2[mask]], axis=-1)
+        out[leg, path[col]] = np.stack([T, stopped, pay[mask], d1[mask], d2[mask]], axis=-1)
         m[mask] = _DEAD
 
-    while rows.size:
+    admit(np.arange(n))
+    while path.size:
         changed = False
         act = m < n_end
         t = anchor + m * du
@@ -309,7 +344,8 @@ def _coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
         if need.any():
             for i in np.nonzero(need.any(axis=0))[0]:
                 q = filled[i] % ring_len
-                ring[i, q:q + chunk] = ring[i, q - 1] + np.cumsum(gens_n[i].standard_normal(chunk))
+                row = ring[slot[i]]
+                row[q:q + chunk] = row[q - 1] + np.cumsum(gens_n[i].standard_normal(chunk))
                 filled[i] += chunk
 
         in_band = (band_lo < z) & (z < band_hi)
@@ -356,76 +392,78 @@ def _coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt, refine,
             r = np.nonzero(ready)[0]
             base[r] += n_full[r] + 1        # whole units plus the partial-unit draw
             for i in r[epos[r] >= _CHUNK_E]:
-                echunk[i] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
+                echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
                 epos[i] = 0
             anchor[r] = arr[r]
-            arr[r] = anchor[r] + echunk[r, epos[r]]
+            arr[r] = anchor[r] + echunk[slot[r], epos[r]]
             epos[r] += 1
             open_segment(r)
             m[:, r] = np.where(m[:, r] < _DEAD, 0, _DEAD)
 
-        # drop finished paths once they make up half the rows
+        # refill finished paths' rows from the queue; once it is empty, drop
+        # them when they make up half the pool (the draw buffers stay in place)
         live = lag < _DEAD
-        if 2 * np.count_nonzero(live) <= live.size:
+        if started < n_paths:
+            if not live.all():
+                admit(np.nonzero(~live)[0])
+        elif 2 * np.count_nonzero(live) <= live.size:
             keep = np.nonzero(live)[0]
-            (rows, ring, echunk, filled, base, epos, anchor, arr, seg_end, n_full,
-             n_end, sfrac) = (x[keep] for x in (rows, ring, echunk, filled, base, epos,
-                                                anchor, arr, seg_end, n_full, n_end, sfrac))
+            (path, slot, off, gens_n, gens_e, filled, base, epos, anchor, arr, seg_end,
+             n_full, n_end, sfrac) = (x[keep] for x in (path, slot, off, gens_n, gens_e,
+                                                        filled, base, epos, anchor, arr,
+                                                        seg_end, n_full, n_end, sfrac))
             z, d1, d2, pay, m = (x[:, keep] for x in (z, d1, d2, pay, m))
-            gens_n = [gens_n[i] for i in keep]
-            gens_e = [gens_e[i] for i in keep]
-            off = np.arange(keep.size) * ring_len
 
     return out
 
 
-def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, horizon,
-                z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi,
-                batch=4096):
-    """Simulate n_paths at dt and at dt/2 on shared Brownian paths.
+def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
+             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch=4096):
+    """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 T}, low-mimic integral).
 
-    Returns shape (2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns
-    (T, stopped, pay, e^{-r1 T}, e^{-r2 T}).
+    At most batch paths are in flight at once.
     """
-    drift_c = drift_sign * 0.5 * psi * psi
-    chunks = []
-    for off in range(0, n_paths, batch):
-        nb = min(batch, n_paths - off)
-        chunks.append(_coupled_batch(z0, z_star, drift_c, psi, r1, r2, u, c, dt,
-                                     refine, band_lo, band_hi, horizon, z_cap,
-                                     a_tab, z_lo, inv_dz, nb, seed, tag, off,
-                                     1.0 / lam))
-    return np.concatenate(chunks, axis=1)
-
-
-def _diag_batch(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
-                dt, horizon, a_tab, z_lo, inv_dz, n_paths, seed, tag, path_offset):
+    drift_c = 0.5 * psi * psi
     e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt)
-    n = n_paths
-    gens_n = [_gen(seed, tag, path_offset + i, 0) for i in range(n)]
-    t = np.zeros(n); z = np.full(n, z0); d1 = np.ones(n); low = np.zeros(n)
-    out_T = np.zeros(n); exited = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    L = _CHUNK_N
-    nchunk = np.empty((n, L))
-    for i in range(n):
-        nchunk[i] = gens_n[i].standard_normal(L)
-    col = 0
     interp = partial(_interp, a_tab, z_lo, inv_dz)
+    out = np.empty((n_paths, 4))
 
+    n = min(batch, n_paths)
+    path = np.zeros(n, dtype=np.int64)       # path held by each row
+    slot = np.arange(n)                      # row of the draw buffer it reads
+    alive = np.zeros(n, dtype=bool)
+    gens_n = np.empty(n, dtype=object)
+    t = np.empty(n); z = np.empty(n); d1 = np.empty(n); low = np.empty(n)
+    nchunk = np.empty((n, _CHUNK_N)); npos = np.empty(n, dtype=np.int64)
+    started = 0
+
+    def admit(free):
+        nonlocal started
+        r, j = _queued(free, started, n_paths)
+        started += r.size
+        path[r] = j
+        for i in r:
+            gens_n[i] = _gen(seed, tag, int(path[i]), 0)
+            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
+        t[r] = 0.0; z[r] = z0; d1[r] = 1.0; low[r] = 0.0; npos[r] = 0
+        alive[r] = True
+
+    def finish(mask, T, exited):
+        j = path[mask]
+        out[j, 0] = T; out[j, 1] = exited; out[j, 2] = d1[mask]; out[j, 3] = low[mask]
+        alive[mask] = False
+
+    admit(np.arange(n))
     while alive.any():
         exit_now = alive & ((z <= z_int_lo) | (z >= z_int_hi))
         if exit_now.any():
-            out_T[exit_now] = t[exit_now]; exited[exit_now] = 1.0
-            alive &= ~exit_now
+            finish(exit_now, t[exit_now], 1.0)
         tz = alive & (t >= horizon)
         if tz.any():
-            out_T[tz] = horizon; exited[tz] = 0.0
-            alive &= ~tz
-        if not alive.any():
-            break
-        h = np.full(n, dt)
-        lim = np.zeros(n, dtype=np.int8)
+            finish(tz, horizon, 0.0)
+
+        h = np.full(alive.size, dt)
+        lim = np.zeros(alive.size, dtype=np.int8)
         m2 = (horizon - t) < h
         h[m2] = (horizon - t)[m2]; lim[m2] = 2
         np.maximum(h, 0.0, out=h)
@@ -433,30 +471,27 @@ def _diag_batch(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
         with np.errstate(under="ignore", over="ignore"):
             e1 = np.where(full, e1dt, np.exp(-r1 * h))
             em1 = np.where(full, em1dt, -np.expm1(-r1 * h))
-        if col >= L:
-            for i in np.nonzero(alive)[0]:
-                nchunk[i] = gens_n[i].standard_normal(L)
-            col = 0
-        nrm = nchunk[:, col]; col += 1
+        spent = npos >= _CHUNK_N
+        for i in np.nonzero(spent & alive)[0]:
+            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
+        npos[spent] = 0
+        nrm = nchunk[slot, npos]; npos += 1
         z_new, a = _milstein(z, h, nrm, drift_c, psi, interp)
         gain = np.where(a <= a_thresh, d1 * em1, 0.0)
-        low[alive] = (low + gain)[alive]
-        z[alive] = z_new[alive]
-        d1[alive] = (d1 * e1)[alive]
-        t[alive] = (t + h)[alive]
+        np.copyto(low, low + gain, where=alive)
+        np.copyto(z, z_new, where=alive)
+        np.copyto(d1, d1 * e1, where=alive)
+        np.copyto(t, t + h, where=alive)
 
-    out = np.empty((n, 4))
-    out[:, 0] = out_T; out[:, 1] = exited; out[:, 2] = d1; out[:, 3] = low
+        # refill finished rows from the queue; once it is empty, drop
+        # finished rows when they make up half the pool (the draw buffer
+        # stays in place)
+        live = np.count_nonzero(alive)
+        if started < n_paths:
+            if live < alive.size:
+                admit(np.nonzero(~alive)[0])
+        elif 2 * live <= alive.size:
+            keep = np.nonzero(alive)[0]
+            path, slot, alive, gens_n, t, z, d1, low, npos = (
+                x[keep] for x in (path, slot, alive, gens_n, t, z, d1, low, npos))
     return out
-
-
-def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
-             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch=4096):
-    """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 T}, low-mimic integral)."""
-    drift_c = 0.5 * psi * psi
-    chunks = []
-    for off in range(0, n_paths, batch):
-        nb = min(batch, n_paths - off)
-        chunks.append(_diag_batch(z0, z_int_lo, z_int_hi, drift_c, psi, r1, u, c, a_thresh,
-                                  dt, horizon, a_tab, z_lo, inv_dz, nb, seed, tag, off))
-    return np.vstack(chunks)

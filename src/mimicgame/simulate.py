@@ -34,7 +34,7 @@ class SimConfig:
     horizon: float | None = None     # defaults to 20 / min(r1, r2)
     z_cap: float = 12.0
     t_probe: float = 1.0
-    batch: int = 4096
+    batch: int = 4096                # paths in flight at most; results do not depend on it
     band_refine: int = 4             # step shrink factor inside the mixing band
 
     def resolve(self, params: GameParams) -> "SimConfig":
@@ -55,6 +55,8 @@ class SimConfig:
             raise ValueError("z_cap must be at least 12")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
+        if self.batch < 1:
+            raise ValueError("batch must be positive")
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,12 @@ def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_type: str, num: Numerics
         band_lo=band_lo, band_hi=band_hi)
 
 
+def _martingale(cfg: SimConfig, res_ni, res_i) -> MartingaleResult:
+    """|E[p at (t_probe wedge T)] - p0| under the prior type mixture, from both type runs."""
+    mix, se = _mix((cfg.p0, 1.0 - cfg.p0), (inv_logit(res_ni[:, 5]), inv_logit(res_i[:, 5])))
+    return MartingaleResult(gap=abs(mix - cfg.p0), se=se, mixture_mean=mix)
+
+
 def _run_type(eq: Equilibrium, cfg: SimConfig, agent_type: str,
               num: Numerics, n_paths=None, path_offset=0):
     refine, args = _kernel_args(eq, cfg, agent_type, num)
@@ -227,7 +235,7 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
     pay_ni = res_ni[:, 2]
     weights = (cfg.p0, 1.0 - cfg.p0)
     principal_mean, principal_se = _mix(weights, (_lump(res_ni, p.w_NI), _lump(res_i, p.w_I)))
-    mix_mean, mart_se = _mix(weights, (inv_logit(res_ni[:, 5]), inv_logit(res_i[:, 5])))
+    mart = _martingale(cfg, res_ni, res_i)
 
     if with_diagnostic:
         diag = learning_diagnostic(eq, cfg, eps=eps, interval=interval, num=num)
@@ -243,7 +251,7 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
         disc_r2_ni_mean=float(np.mean(res_ni[:, 4])), disc_r2_ni_se=_se(res_ni[:, 4]),
         disc_r1_i_mean=float(np.mean(res_i[:, 3])), disc_r1_i_se=_se(res_i[:, 3]),
         disc_r2_i_mean=float(np.mean(res_i[:, 4])), disc_r2_i_se=_se(res_i[:, 4]),
-        martingale_gap=abs(mix_mean - cfg.p0), martingale_se=mart_se,
+        martingale_gap=mart.gap, martingale_se=mart.se,
         low_mimic_mean=low_mean, low_mimic_se=low_se,
         censored_frac_ni=float(np.mean(res_ni[:, 1] == 0.0)),
         censored_frac_i=float(np.mean(res_i[:, 1] == 0.0)))
@@ -267,7 +275,7 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     Both legs advance through the same step function as estimate_values,
     so the check covers the scheme that produces the reported values.
     Draws come from per-path Philox streams, so the result does not
-    depend on the batch partition.
+    depend on how many paths are in flight at once (cfg.batch).
     """
     cfg = cfg.resolve(eq.params)
     p = eq.params
@@ -289,10 +297,8 @@ def martingale_check(eq: Equilibrium, cfg: SimConfig, t_probe: float,
     cfg = replace(cfg, t_probe=t_probe).resolve(eq.params)
     if cfg.t_probe > cfg.horizon:
         raise ValueError("t_probe beyond the simulation horizon")
-    res_ni = _run_type(eq, cfg, TYPE_NONINVESTIBLE, num)
-    res_i = _run_type(eq, cfg, TYPE_INVESTIBLE, num)
-    mix, se = _mix((cfg.p0, 1.0 - cfg.p0), (inv_logit(res_ni[:, 5]), inv_logit(res_i[:, 5])))
-    return MartingaleResult(gap=abs(mix - cfg.p0), se=se, mixture_mean=mix)
+    return _martingale(cfg, _run_type(eq, cfg, TYPE_NONINVESTIBLE, num),
+                       _run_type(eq, cfg, TYPE_INVESTIBLE, num))
 
 
 def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,

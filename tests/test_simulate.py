@@ -38,6 +38,9 @@ def test_config_validation(fig_eq):
         SimConfig(p0=0.3, z_cap=5.0).resolve(FIG)    # cap too small
     with pytest.raises(ValueError):
         SimConfig(p0=1.5).resolve(FIG)
+    for batch in (0, -5):
+        with pytest.raises(ValueError, match="batch"):
+            SimConfig(p0=0.3, batch=batch).resolve(FIG)
 
 
 def test_determinism_bit_identical(fig_eq):
@@ -57,6 +60,39 @@ def test_batch_split_invariance(fig_eq):
     rb = estimate_values(fig_eq, split)
     assert ra == rb
     assert dt_refinement(fig_eq, base) == dt_refinement(fig_eq, split)
+
+
+def test_pool_refill_keeps_path_index(fig_eq):
+    # a pool of 8 rows over 40 paths refills rows mid-run; each record must
+    # land at its own index and match the path run on its own
+    from mimicgame import _simkernels
+    from mimicgame.model import Numerics, inv_logit
+    from mimicgame.simulate import _kernel_args, _run_type
+    cfg = SimConfig(p0=0.4, n_paths=40, seed=5, batch=8).resolve(FIG)
+    for agent_type in ("NI", "I"):
+        res = _run_type(fig_eq, cfg, agent_type, Numerics())
+        for i in (0, 7, 8, 39):
+            rec = simulate_path(fig_eq, agent_type, cfg, path_index=i)
+            t, stopped, pay, d1, d2, zpr = res[i]
+            assert (rec.stop_time, rec.stopped, rec.disc_r1, rec.disc_r2, rec.p_probe) == (
+                t, bool(stopped), d1, d2, inv_logit(zpr))
+            if agent_type == "NI":
+                assert rec.agent_payoff == pay
+    # the coupled and diagnostic runs give identical arrays at any pool width
+    refine, args = _kernel_args(fig_eq, cfg, "NI", Numerics())
+    diag_args = dict(z0=logit(0.4), z_int_lo=logit(0.05), z_int_hi=logit(0.95), psi=FIG.psi,
+                     r1=FIG.r1, u=FIG.u, c=FIG.c, a_thresh=0.9, dt=cfg.dt, horizon=cfg.horizon,
+                     a_tab=args["a_tab"], z_lo=args["z_lo"], inv_dz=args["inv_dz"],
+                     n_paths=40, seed=5, tag=2)
+    coupled, diag = [], []
+    for width in (8, 37, 40):
+        coupled.append(_simkernels.run_coupled(**dict(args, batch=width), refine=refine,
+                                               n_paths=40))
+        diag.append(_simkernels.run_diag(**diag_args, batch=width))
+    for x in coupled[1:]:
+        assert x.tobytes() == coupled[0].tobytes()
+    for x in diag[1:]:
+        assert x.tobytes() == diag[0].tobytes()
 
 
 def test_frozen_belief_degenerate_case():
