@@ -20,7 +20,10 @@ of the volatility at the drifted state, no extra draws), and the step
 shrinks by band_refine inside the mixing band where the coefficients
 vary: plain Euler at the nominal step leaves an O(dt) payoff bias with a
 large constant there, visible at 1e5 paths. Outside the band the
-coefficients are constant and the step is exact in distribution.
+coefficients are constant and the step is exact in distribution. Each
+row carries the mimicking intensity at its current state, which the
+previous step's end-of-step lookup already gave, so a step makes two
+table lookups: the probe and the step's end.
 
 The step-size refinement run (run_coupled) simulates each
 path at dt and at dt/2 on one shared Brownian path. Independent runs at
@@ -73,33 +76,35 @@ def _interp(a_tab, z_lo, inv_dz, zv):
     return np.where(hi, a_tab[ntab - 1], a)
 
 
-def _milstein(z, h, xi, drift_c, psi, interp):
+def _milstein(z, a, h, xi, drift_c, psi, interp):
     """Derivative-free Milstein step of length h driven by the standard normal xi.
 
-    Returns the new state and the mimicking intensity at the start of the step.
+    a is the mimicking intensity at z; returns the new state.
     """
-    a = interp(z)
     onema = 1.0 - a
     sh = np.sqrt(h)
     mu_h = (drift_c * (onema * onema)) * h
     sg = psi * onema
     probe = z + mu_h + sg * sh
     sg2 = psi * (1.0 - interp(probe))
-    z_new = z + mu_h + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
-    return z_new, a
+    return z + mu_h + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
 
 
-def _advance(z, pay, d1, d2, h, xi, e1, em1, e2, drift_c, psi, u, c, interp):
-    """One payoff-accruing step of the main run; returns (z, pay, d1, d2) after it."""
-    z_new, a = _milstein(z, h, xi, drift_c, psi, interp)
+def _advance(z, a, pay, d1, d2, h, xi, e1, em1, e2, drift_c, psi, u, c, interp):
+    """One payoff-accruing step from z, where the intensity is a.
+
+    Returns (z, a, pay, d1, d2) after the step, so the caller carries the
+    intensity at the new state into the next step.
+    """
+    z_new = _milstein(z, a, h, xi, drift_c, psi, interp)
     # trapezoidal intensity along the step keeps the payoff quadrature
     # honest where the policy is steep
     a_end = interp(z_new)
     flow = u + (1.0 - 0.5 * (a + a_end)) * c
-    return z_new, pay + flow * (d1 * em1), d1 * e1, d2 * e2
+    return z_new, a_end, pay + flow * (d1 * em1), d1 * e1, d2 * e2
 
 
-def _close_frozen(frozen, z, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon, interp):
+def _close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon):
     """Close the frozen entries in one shot: the belief no longer moves.
 
     Updates pay, d1 and d2 in place and returns (T, stopped) of the frozen
@@ -108,7 +113,6 @@ def _close_frozen(frozen, z, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon,
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         will_stop = frozen & (z >= z_star) & (arr < horizon)
         T = np.where(will_stop, arr, horizon)
-        a = interp(z)
         flow = u + (1.0 - a) * c
         h = np.where(frozen, T - t, 0.0)
         pay[frozen] = (pay + flow * (d1 * (-np.expm1(-r1 * h))))[frozen]
@@ -142,6 +146,7 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
     alive = np.zeros(n, dtype=bool)
     gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
     t = np.empty(n); z = np.empty(n); d1 = np.empty(n); d2 = np.empty(n); pay = np.empty(n)
+    a = np.empty(n)                          # mimicking intensity at z
     zpr = np.empty(n); prdone = np.empty(n, dtype=bool)
     echunk = np.empty((n, _CHUNK_E)); epos = np.empty(n, dtype=np.int64); arr = np.empty(n)
     nchunk = np.empty((n, _CHUNK_N)); npos = np.empty(n, dtype=np.int64)
@@ -158,6 +163,7 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
             echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
             nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
         t[r] = 0.0; z[r] = z0; d1[r] = 1.0; d2[r] = 1.0; pay[r] = 0.0
+        a[r] = interp(z[r])
         prdone[r] = False; epos[r] = 1; arr[r] = echunk[slot[r], 0]; npos[r] = 0
         alive[r] = True
 
@@ -175,8 +181,8 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
 
         frozen = alive & (np.abs(z) >= z_cap)
         if frozen.any():
-            T, stopped = _close_frozen(frozen, z, t, arr, pay, d1, d2, z_star,
-                                       r1, r2, u, c, horizon, interp)
+            T, stopped = _close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star,
+                                       r1, r2, u, c, horizon)
             late = frozen & ~prdone
             zpr[late] = z[late]; prdone[late] = True
             finish(frozen, T, stopped)
@@ -202,9 +208,10 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
         npos[spent] = 0
         nrm = nchunk[slot, npos]; npos += 1
 
-        z_new, pay_new, d1_new, d2_new = _advance(z, pay, d1, d2, h, nrm, e1, em1, e2,
-                                                  drift_c, psi, u, c, interp)
+        z_new, a_new, pay_new, d1_new, d2_new = _advance(z, a, pay, d1, d2, h, nrm, e1, em1,
+                                                         e2, drift_c, psi, u, c, interp)
         np.copyto(pay, pay_new, where=alive); np.copyto(z, z_new, where=alive)
+        np.copyto(a, a_new, where=alive)
         np.copyto(d1, d1_new, where=alive); np.copyto(d2, d2_new, where=alive)
         np.copyto(t, t + h, where=alive)
 
@@ -238,9 +245,9 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
                 admit(np.nonzero(~alive)[0])
         elif 2 * live <= alive.size:
             keep = np.nonzero(alive)[0]
-            (path, slot, alive, gens_n, gens_e, t, z, d1, d2, pay, zpr, prdone, epos, arr,
-             npos) = (x[keep] for x in (path, slot, alive, gens_n, gens_e, t, z, d1, d2, pay,
-                                        zpr, prdone, epos, arr, npos))
+            (path, slot, alive, gens_n, gens_e, t, z, a, d1, d2, pay, zpr, prdone, epos, arr,
+             npos) = (x[keep] for x in (path, slot, alive, gens_n, gens_e, t, z, a, d1, d2,
+                                        pay, zpr, prdone, epos, arr, npos))
     return out
 
 
@@ -289,6 +296,7 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
     # a finished leg, whose outcome is already in out.
     shape = (2, n)
     z = np.empty(shape); d1 = np.empty(shape); d2 = np.empty(shape); pay = np.empty(shape)
+    a = np.empty(shape)                      # mimicking intensity at z
     m = np.full(shape, _DEAD, dtype=np.int64)
     off = slot * ring_len
     started = 0
@@ -319,6 +327,7 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         anchor[r] = 0.0; arr[r] = echunk[slot[r], 0]
         open_segment(r)
         z[:, r] = z0; d1[:, r] = 1.0; d2[:, r] = 1.0; pay[:, r] = 0.0; m[:, r] = 0
+        a[:, r] = interp(z[:, r])
 
     def finish(mask, T, stopped):
         leg, col = np.nonzero(mask)
@@ -332,8 +341,8 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         t = anchor + m * du
         frozen = act & (np.abs(z) >= z_cap)
         if frozen.any():
-            finish(frozen, *_close_frozen(frozen, z, t, arr, pay, d1, d2, z_star,
-                                          r1, r2, u, c, horizon, interp))
+            finish(frozen, *_close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star,
+                                          r1, r2, u, c, horizon))
             act &= ~frozen
             changed = True
 
@@ -367,9 +376,10 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         with np.errstate(under="ignore", over="ignore"):
             e1 = np.exp(-r1 * h); em1 = -np.expm1(-r1 * h); e2 = np.exp(-r2 * h)
 
-        z_new, pay_new, d1_new, d2_new = _advance(z, pay, d1, d2, h, xi, e1, em1, e2,
-                                                  drift_c, psi, u, c, interp)
-        np.copyto(z, z_new, where=go); np.copyto(pay, pay_new, where=go)
+        z_new, a_new, pay_new, d1_new, d2_new = _advance(z, a, pay, d1, d2, h, xi, e1, em1,
+                                                         e2, drift_c, psi, u, c, interp)
+        np.copyto(z, z_new, where=go); np.copyto(a, a_new, where=go)
+        np.copyto(pay, pay_new, where=go)
         np.copyto(d1, d1_new, where=go); np.copyto(d2, d2_new, where=go)
         m += np.where(go, k, 0)
 
@@ -412,7 +422,7 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
              n_full, n_end, sfrac) = (x[keep] for x in (path, slot, off, gens_n, gens_e,
                                                         filled, base, epos, anchor, arr,
                                                         seg_end, n_full, n_end, sfrac))
-            z, d1, d2, pay, m = (x[:, keep] for x in (z, d1, d2, pay, m))
+            z, a, d1, d2, pay, m = (x[:, keep] for x in (z, a, d1, d2, pay, m))
 
     return out
 
@@ -476,7 +486,8 @@ def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
             nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
         npos[spent] = 0
         nrm = nchunk[slot, npos]; npos += 1
-        z_new, a = _milstein(z, h, nrm, drift_c, psi, interp)
+        a = interp(z)
+        z_new = _milstein(z, a, h, nrm, drift_c, psi, interp)
         gain = np.where(a <= a_thresh, d1 * em1, 0.0)
         np.copyto(low, low + gain, where=alive)
         np.copyto(z, z_new, where=alive)

@@ -297,6 +297,8 @@ def _cmd_oracle_check(params, numerics, cblock, out: Path, args):
         "gap_w_rel": gap_w,
         "gap_a_sup": gap_a,
         "outer_iters": de.outer_iters,
+        "agent_sweeps": de.agent_sweeps,
+        "principal_sweeps": de.principal_sweeps,
         "passed": bool(ok),
     })
     print(f"oracle-check: |dp*|={gap_p:.4f} v-gap={gap_v:.4f} W-gap={gap_w:.4f} "

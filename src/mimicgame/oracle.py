@@ -21,6 +21,17 @@ profile stops moving:
      function. Full mimicking freezes the belief and destroys its own
      benefit, so the root is interior wherever mixing is sustainable.
 
+Both value loops are plain value iteration on a fixed linear operator:
+the transition matrix of the period game's Markov-chain approximation.
+Row i of it reads the next value at the two jump targets from i by linear
+interpolation, so it holds four weights, and the discount, the
+survival or continuation probability and the signal's 1/2 odds are folded
+into them. Each inner solve builds its operator once as a sparse CSR
+matrix: the agent's stacks one n-row block per endpoint action (2n x n),
+the principal's is n x n for each stopping policy. A sweep is then one
+compiled product op @ x plus the period flow, a pointwise max over the
+agent's two blocks, and a sup-norm test on the step.
+
 Cells near the mixing boundary cannot satisfy the indifference exactly
 (the true support edge falls between grid nodes), so their targets keep
 flipping by O(slope * dz) under any fixed damping and a pointwise
@@ -83,6 +94,8 @@ class DiscreteEquilibrium:
     w: np.ndarray
     outer_iters: int
     outer_residual: float        # undamped sup |target - conjecture| at exit
+    agent_sweeps: int            # value-iteration sweeps of the agent, over the run
+    principal_sweeps: int        # value-evaluation sweeps of the principal, over the run
 
 
 def _gather_weights(zq, z0, dz, n):
@@ -94,31 +107,57 @@ def _gather_weights(zq, z0, dz, n):
     return idx, frac
 
 
-def _vi_agent(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
-              surv, flow0, flow1, g1, tol, maxit):
+def _transition(t_up, t_dn, scale, z0, dz, n):
+    """CSR operator of one period: row k maps x to scale[k] * E[x(next)].
+
+    The expectation is 0.5 * (x(t_up[k]) + x(t_dn[k])), each read by
+    edge-clamped linear interpolation on the grid of n nodes; a row's four
+    weights may share columns, which the product sums.
+    """
+    # imported on first use: the commands that never run the oracle then
+    # do not pay for scipy.sparse at start-up
+    from scipy import sparse
+
+    iu, fu = _gather_weights(t_up, z0, dz, n)
+    idn, fd = _gather_weights(t_dn, z0, dz, n)
+    half = 0.5 * scale
+    data = np.stack([half * (1.0 - fu), half * fu, half * (1.0 - fd), half * fd], axis=1)
+    cols = np.stack([iu, iu + 1, idn, idn + 1], axis=1)
+    rows = t_up.size
+    return sparse.csr_array((data.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4)),
+                            shape=(rows, n))
+
+
+def _sweep(x, op, const, tol, maxit):
+    """Value iteration x <- op @ x + const, in place.
+
+    op has one block of x.size rows, or two (one per endpoint action of the
+    agent), which the sweep maximizes over pointwise. Stops once the
+    sup-norm step is below tol; returns the sweep count, or -maxit when the
+    budget runs out.
+    """
+    n = x.size
     for it in range(maxit):
-        ev0 = 0.5 * ((v[iu0] * (1.0 - fu0) + v[iu0 + 1] * fu0)
-                     + (v[id0] * (1.0 - fd0) + v[id0 + 1] * fd0))
-        ev1 = 0.5 * ((v[iu1] * (1.0 - fu1) + v[iu1 + 1] * fu1)
-                     + (v[id1] * (1.0 - fd1) + v[id1 + 1] * fd1))
-        vn = np.maximum(flow0 + g1 * surv * ev0, flow1 + g1 * surv * ev1)
-        diff = np.max(np.abs(vn - v))
-        v[:] = vn
+        y = op @ x
+        y += const
+        xn = np.maximum(y[:n], y[n:]) if y.size > n else y
+        diff = np.abs(xn - x).max()
+        x[:] = xn
         if diff < tol:
             return it + 1
     return -maxit
 
 
-def _eval_principal(w, iu, fu, idn, fd, stop_prob, reward, g2, tol, maxit):
-    for it in range(maxit):
-        ev = 0.5 * ((w[iu] * (1.0 - fu) + w[iu + 1] * fu)
-                    + (w[idn] * (1.0 - fd) + w[idn + 1] * fd))
-        wn = stop_prob * reward + (1.0 - stop_prob) * (g2 * ev)
-        diff = np.max(np.abs(wn - w))
-        w[:] = wn
-        if diff < tol:
-            return it + 1
-    return -maxit
+def _start(init_a, n):
+    """The initial conjecture init_a on the grid of n nodes, clipped to [0, _A_CAP]."""
+    try:
+        a = np.broadcast_to(np.asarray(init_a, float), (n,))
+    except ValueError:
+        raise ValueError(f"init_a must be a scalar or broadcast to the grid's {n} nodes; "
+                         f"got shape {np.shape(init_a)}") from None
+    if not np.all(np.isfinite(a)):
+        raise ValueError("init_a must be finite on every node")
+    return np.clip(a, 0.0, _A_CAP)
 
 
 def _cutoff_from_w(z, reward, w):
@@ -144,8 +183,9 @@ class _AgentStage:
         self.delta = delta
         self.sd = params.psi * math.sqrt(delta)
         self.g1 = math.exp(-params.r1 * delta)
-        self.flow0 = (1.0 - self.g1) * (params.u + params.c)
-        self.flow1 = (1.0 - self.g1) * params.u
+        # period flows of the endpoint actions, one block of the stacked operator each
+        self.flows = np.repeat([(1.0 - self.g1) * (params.u + params.c),
+                                (1.0 - self.g1) * params.u], self.n)
         self.cost = (1.0 - self.g1) * params.c
 
     def _targets(self, a_hat):
@@ -157,23 +197,19 @@ class _AgentStage:
                 z + drift1 + sd * one_m, z + drift1 - sd * one_m)
 
     def value_iterate(self, v, a_hat, surv):
+        """Agent value iteration in place; returns the sweep count (negative if exhausted)."""
         t0u, t0d, t1u, t1d = self._targets(a_hat)
-        iu0, fu0 = _gather_weights(t0u, self.z[0], self.dz, self.n)
-        id0, fd0 = _gather_weights(t0d, self.z[0], self.dz, self.n)
-        iu1, fu1 = _gather_weights(t1u, self.z[0], self.dz, self.n)
-        id1, fd1 = _gather_weights(t1d, self.z[0], self.dz, self.n)
-        return _vi_agent(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
-                         surv, self.flow0, self.flow1, self.g1, _TOL_INNER, _VI_MAXIT)
-
-    def _interp(self, v, zq):
-        i, f = _gather_weights(zq, self.z[0], self.dz, self.n)
-        return v[i] * (1.0 - f) + v[i + 1] * f
+        scale = self.g1 * surv
+        op = _transition(np.concatenate([t0u, t1u]), np.concatenate([t0d, t1d]),
+                         np.concatenate([scale, scale]), self.z[0], self.dz, self.n)
+        return _sweep(v, op, self.flows, _TOL_INNER, _VI_MAXIT)
 
     def _mimic_gain(self, v, surv, a):
         """Period gain from mimicking minus its cost, when conjectured at a."""
-        t0u, t0d, t1u, t1d = self._targets(a)
-        e0 = 0.5 * (self._interp(v, t0u) + self._interp(v, t0d))
-        e1 = 0.5 * (self._interp(v, t1u) + self._interp(v, t1d))
+        i, f = _gather_weights(np.concatenate(self._targets(a)), self.z[0], self.dz, self.n)
+        x0u, x0d, x1u, x1d = (v[i] * (1.0 - f) + v[i + 1] * f).reshape(4, self.n)
+        e0 = 0.5 * (x0u + x0d)
+        e1 = 0.5 * (x1u + x1d)
         return -self.cost + self.g1 * surv * (e1 - e0)
 
     def indifference_root(self, v, surv):
@@ -191,11 +227,14 @@ class _AgentStage:
 
 
 def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
-                         init_a: np.ndarray | None = None) -> DiscreteEquilibrium:
+                         init_a: np.ndarray | float | None = None) -> DiscreteEquilibrium:
     """Fixed point of the period game; independent of the closed form.
 
-    Raises OscillationError if the round budget is exhausted or the
-    conjecture is still moving wholesale when the phases end.
+    init_a is the initial conjecture, a scalar or one value per grid node
+    (zero by default); a start that does not broadcast to the grid or is
+    not finite raises ValueError. Raises OscillationError if the round
+    budget is exhausted or the conjecture is still moving wholesale when
+    the phases end.
     """
     r2, lam, psi = params.r2, params.lam, params.psi
     delta = dg.delta
@@ -213,26 +252,34 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
     sd = psi * math.sqrt(delta)
     stage = _AgentStage(params, delta, z, dz)
 
-    a_hat = np.zeros(n) if init_a is None else np.clip(
-        np.asarray(init_a, float).copy(), 0.0, _A_CAP)
+    a_hat = np.zeros(n) if init_a is None else _start(init_a, n)
     v = np.zeros(n)
     w = np.zeros(n)
     b = reward > 0.0
     acc = np.zeros(n)
     n_acc = 0
+    agent_sweeps = principal_sweeps = 0
+
+    def agent_round(a_used):
+        nonlocal agent_sweeps
+        it_a = stage.value_iterate(v, a_used, 1.0 - p_arrive * b.astype(float))
+        if it_a < 0:
+            raise OscillationError("agent value iteration exhausted its sweep budget")
+        agent_sweeps += it_a
 
     def principal_round(a_used):
-        nonlocal b
+        nonlocal b, principal_sweeps
         one_m = 1.0 - a_used
         driftw = psi**2 * one_m**2 * (p - 0.5) * delta
-        iuw, fuw = _gather_weights(z + driftw + sd * one_m, z[0], dz, n)
-        idw, fdw = _gather_weights(z + driftw - sd * one_m, z[0], dz, n)
+        t_up = z + driftw + sd * one_m
+        t_dn = z + driftw - sd * one_m
         for _ in range(100):
             stop_prob = p_arrive * b.astype(float)
-            it_w = _eval_principal(w, iuw, fuw, idw, fdw, stop_prob, reward,
-                                   g2, _TOL_INNER, _VI_MAXIT)
+            op = _transition(t_up, t_dn, (1.0 - stop_prob) * g2, z[0], dz, n)
+            it_w = _sweep(w, op, stop_prob * reward, _TOL_INNER, _VI_MAXIT)
             if it_w < 0:
                 raise OscillationError("principal value evaluation exhausted its budget")
+            principal_sweeps += it_w
             b_new = reward > w
             if np.array_equal(b_new, b):
                 return
@@ -244,10 +291,7 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
     outer = 0
     settled = False
     for outer in range(1, total_rounds + 1):
-        surv = 1.0 - p_arrive * b.astype(float)
-        it_a = stage.value_iterate(v, a_hat, surv)
-        if it_a < 0:
-            raise OscillationError("agent value iteration exhausted its sweep budget")
+        agent_round(a_hat)
         principal_round(a_hat)
         surv = 1.0 - p_arrive * b.astype(float)
         target = stage.indifference_root(v, surv)
@@ -273,10 +317,7 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
     # final consistency pass: re-solve both values under the final conjecture
     # until the stopping mask stops moving, so the returned objects cohere
     for _ in range(25):
-        surv = 1.0 - p_arrive * b.astype(float)
-        it_a = stage.value_iterate(v, a_hat, surv)
-        if it_a < 0:
-            raise OscillationError("agent value iteration exhausted its sweep budget")
+        agent_round(a_hat)
         b_before = b.copy()
         principal_round(a_hat)
         if np.array_equal(b, b_before):
@@ -287,4 +328,5 @@ def discrete_equilibrium(params: GameParams, dg: DiscreteGame = DiscreteGame(),
     z_cut = _cutoff_from_w(z, reward, w)
     return DiscreteEquilibrium(p_star=float(inv_logit(z_cut)), z_grid=z, p_grid=p,
                                a=a_hat, v=v.copy(), w=w.copy(),
-                               outer_iters=outer, outer_residual=outer_res)
+                               outer_iters=outer, outer_residual=outer_res,
+                               agent_sweeps=agent_sweeps, principal_sweeps=principal_sweeps)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import mimicgame as mg
-from mimicgame.model import GameParams, logit
+from mimicgame import oracle
+from mimicgame.model import GameParams, inv_logit, logit, termination_payoff
 from mimicgame.oracle import DiscreteGame, discrete_equilibrium
 
 FIG = GameParams(r1=0.5, r2=0.5, lam=2.0, psi=1.5, u=1.0, c=1.0, w_NI=1.0, w_I=-1.0)
@@ -105,3 +106,123 @@ def test_multistart_agreement(fig_eq):
 def test_invalid_delta_rejected():
     with pytest.raises(ValueError):
         discrete_equilibrium(FIG, DiscreteGame(delta=1.0))
+
+
+def test_init_a_validated():
+    pars = FIG.with_(r1=2.0)  # settles in a few rounds
+    base = discrete_equilibrium(pars, COARSE)
+    n = base.z_grid.size
+    # a scalar start broadcasts over the grid; zero is the default start
+    flat = discrete_equilibrium(pars, COARSE, init_a=0.0)
+    assert flat.p_star == base.p_star
+    assert np.array_equal(flat.a, base.a) and np.array_equal(flat.v, base.v)
+    assert (flat.agent_sweeps, flat.principal_sweeps) == (base.agent_sweeps,
+                                                          base.principal_sweeps)
+    with pytest.raises(ValueError, match=f"init_a.*{n}"):
+        discrete_equilibrium(pars, COARSE, init_a=np.zeros(5))
+    with pytest.raises(ValueError, match="init_a"):
+        discrete_equilibrium(pars, COARSE, init_a=np.zeros((2, n)))
+    bad = np.zeros(n)
+    bad[7] = np.nan
+    with pytest.raises(ValueError, match="init_a"):
+        discrete_equilibrium(pars, COARSE, init_a=bad)
+    with pytest.raises(ValueError, match="init_a"):
+        discrete_equilibrium(pars, COARSE, init_a=np.inf)
+
+
+def test_transition_matches_gather_formula():
+    rng = np.random.default_rng(11)
+    n, dz = 200, 0.05
+    z0 = -0.5 * (n - 1) * dz
+    x = rng.normal(size=n)
+    # targets span past both grid edges, so some rows clamp to the end nodes
+    t_up = rng.uniform(z0 - 1.0, -z0 + 1.0, size=3 * n)
+    t_dn = t_up - rng.uniform(0.0, 0.5, size=3 * n)
+    t_up[0], t_dn[0] = z0 - 3.0, -z0 + 3.0
+    scale = rng.uniform(0.5, 1.0, size=3 * n)
+    op = oracle._transition(t_up, t_dn, scale, z0, dz, n)
+    assert op.shape == (3 * n, n)
+
+    def read(t):
+        pos = np.clip((t - z0) / dz, 0.0, n - 1.0)
+        i = np.minimum(pos.astype(np.int64), n - 2)
+        f = pos - i
+        return x[i] * (1.0 - f) + x[i + 1] * f
+
+    expect = scale * (0.5 * (read(t_up) + read(t_dn)))
+    assert np.max(np.abs(op @ x - expect)) < 1e-14
+    # a row clamped at both edges puts all its weight on the end nodes
+    row = op[[0], :].toarray()[0]
+    assert row[0] == row[-1] == pytest.approx(0.5 * scale[0])
+    assert row.sum() == pytest.approx(scale[0])
+
+
+def _vi_agent_gather(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
+                     surv, flow0, flow1, g1, tol, maxit):
+    """The agent's value iteration as an explicit gather loop (the reference)."""
+    for it in range(maxit):
+        ev0 = 0.5 * ((v[iu0] * (1.0 - fu0) + v[iu0 + 1] * fu0)
+                     + (v[id0] * (1.0 - fd0) + v[id0 + 1] * fd0))
+        ev1 = 0.5 * ((v[iu1] * (1.0 - fu1) + v[iu1 + 1] * fu1)
+                     + (v[id1] * (1.0 - fd1) + v[id1 + 1] * fd1))
+        vn = np.maximum(flow0 + g1 * surv * ev0, flow1 + g1 * surv * ev1)
+        diff = np.max(np.abs(vn - v))
+        v[:] = vn
+        if diff < tol:
+            return it + 1
+    return -maxit
+
+
+def _eval_principal_gather(w, iu, fu, idn, fd, stop_prob, reward, g2, tol, maxit):
+    """The principal's value evaluation as an explicit gather loop (the reference)."""
+    for it in range(maxit):
+        ev = 0.5 * ((w[iu] * (1.0 - fu) + w[iu + 1] * fu)
+                    + (w[idn] * (1.0 - fd) + w[idn + 1] * fd))
+        wn = stop_prob * reward + (1.0 - stop_prob) * (g2 * ev)
+        diff = np.max(np.abs(wn - w))
+        w[:] = wn
+        if diff < tol:
+            return it + 1
+    return -maxit
+
+
+def test_sweeps_match_gather_loops():
+    # same sweep counts and values as the explicit gather loops, on a small grid
+    delta = 2e-2
+    psi, sd = FIG.psi, FIG.psi * np.sqrt(delta)
+    dz = min(psi * delta, sd)
+    half = int(np.ceil(8.0 / dz))
+    n = 2 * half + 1
+    z = (np.arange(n) - half) * dz
+    p = inv_logit(z)
+    reward = termination_payoff(p, FIG)
+    stop_prob = -np.expm1(-FIG.lam * delta) * (reward > 0.0)
+    rng = np.random.default_rng(3)
+    a_hat = np.clip(0.9 * np.exp(-z**2) + 0.05 * rng.uniform(size=n), 0.0, 0.9)
+    tol, maxit = oracle._TOL_INNER, oracle._VI_MAXIT
+
+    def gather(t):
+        return oracle._gather_weights(t, z[0], dz, n)
+
+    stage = oracle._AgentStage(FIG, delta, z, dz)
+    surv = 1.0 - stop_prob
+    v_new, v_ref = np.zeros(n), np.zeros(n)
+    it_new = stage.value_iterate(v_new, a_hat, surv)
+    g1 = np.exp(-FIG.r1 * delta)
+    weights = [w for t in stage._targets(a_hat) for w in gather(t)]
+    it_ref = _vi_agent_gather(v_ref, *weights, surv, (1.0 - g1) * (FIG.u + FIG.c),
+                              (1.0 - g1) * FIG.u, g1, tol, maxit)
+    assert it_new == it_ref > 0
+    assert np.max(np.abs(v_new - v_ref)) < 1e-13
+
+    one_m = 1.0 - a_hat
+    drift = psi**2 * one_m**2 * (p - 0.5) * delta
+    t_up, t_dn = z + drift + sd * one_m, z + drift - sd * one_m
+    g2 = np.exp(-FIG.r2 * delta)
+    w_new, w_ref = np.zeros(n), np.zeros(n)
+    op = oracle._transition(t_up, t_dn, (1.0 - stop_prob) * g2, z[0], dz, n)
+    it_new = oracle._sweep(w_new, op, stop_prob * reward, tol, maxit)
+    it_ref = _eval_principal_gather(w_ref, *gather(t_up), *gather(t_dn), stop_prob,
+                                    reward, g2, tol, maxit)
+    assert it_new == it_ref > 0
+    assert np.max(np.abs(w_new - w_ref)) < 1e-13
