@@ -1,15 +1,19 @@
 """Path-stepping kernels for the belief simulator.
 
 Each run steps its paths in one pool of numpy arrays, one row per path in
-flight and at most `batch` rows wide. A row whose path finishes writes the
-outcome to the path's slot of the output and takes the next path from the
-queue; once the queue is empty, finished rows are dropped whenever they
-make up half the pool. A path's draw buffers stay in the buffer row it was
-admitted to, so dropping rows copies only the per-path state. All
-randomness comes from per-path counter-based Philox streams keyed by
-(seed, run tag, path index), consumed one normal per diffusion step and
-one exponential per opportunity arrival, so a path's trajectory depends
-neither on the row it runs in nor on the width of the pool.
+flight and at most `batch` rows wide. run_main and run_coupled take both
+agent types in one pool: the queue holds the first type's paths, then the
+second's, and each row carries its type's drift sign and Philox tag. A row
+whose path finishes writes the outcome to the path's slot of the output
+and takes the next path from the queue; once the queue is empty, finished
+rows are dropped whenever they make up half the pool, so a run pays one
+drain tail however many types it holds. A path's draw buffers stay in the
+buffer row it was admitted to, so dropping rows copies only the per-path
+state. All randomness comes from per-path counter-based Philox streams
+keyed by (seed, type tag, path index), consumed one normal per diffusion
+step and one exponential per opportunity arrival, so a path's trajectory
+depends neither on the row it runs in, nor on the width of the pool, nor
+on the types that share it.
 
 Paths freeze once |z| reaches the truncation cap, after which their fate
 is deterministic and closed in one shot. Steps are clipped to the next
@@ -23,7 +27,9 @@ large constant there, visible at 1e5 paths. Outside the band the
 coefficients are constant and the step is exact in distribution. Each
 row carries the mimicking intensity at its current state, which the
 previous step's end-of-step lookup already gave, so a step makes two
-table lookups: the probe and the step's end.
+table lookups: the probe and the step's end. A full step takes its
+discount factors from constants; only a step cut short by an arrival or
+the horizon evaluates exp.
 
 The step-size refinement run (run_coupled) simulates each
 path at dt and at dt/2 on one shared Brownian path. Independent runs at
@@ -34,14 +40,19 @@ bias smaller than that noise. Here the unit normals live on a grid of
 dt/(2 band_refine), restarted at every opportunity arrival, so each step of
 either leg spans whole units and takes the scaled sum of their normals;
 one extra draw covers the partial unit before an arrival or the horizon.
-Arrival times come from the same exponential stream as the main run. The
-legs advance in lockstep, whichever lags stepping next, so one short window
-of drawn units serves both, and both step through the same _advance as the
-main run.
+Arrival times come from the same exponential stream as the main run. Each
+pass of the loop takes a joint step of every leg that is level with or
+behind its partner, then lets the fine leg, whose step is half the coarse
+one, catch up where it is still behind: from level positions the pair
+covers one coarse step in three leg-steps, none of them discarded. The
+legs so stay within one coarse step of each other, one short window of
+drawn units serves both, and each leg carries the running sum at its
+unit, so a full step reads one new sum. Only the step that ends a segment
+reads the partial unit and evaluates exp. Both legs step through the same
+_advance as the main run.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -63,17 +74,25 @@ def _queued(free, n_started, n_paths):
     return rows, np.arange(n_started, n_started + rows.size)
 
 
-def _interp(a_tab, z_lo, inv_dz, zv):
-    """Policy table lookup, linear between nodes and clamped at both ends."""
-    ntab = a_tab.size
-    pos = (zv - z_lo) * inv_dz
-    pos = np.maximum(pos, 0.0)
-    i = pos.astype(np.int64)
-    hi = i >= ntab - 1
-    i = np.minimum(i, ntab - 2)
-    frac = pos - i
-    a = a_tab[i] + (a_tab[i + 1] - a_tab[i]) * frac
-    return np.where(hi, a_tab[ntab - 1], a)
+def _lookup(a_tab, z_lo, inv_dz):
+    """Policy table lookup, linear between nodes and clamped at both ends.
+
+    The slope table ends in a zero, so a point clipped to the last node
+    reads that node's value on the same path as every other point.
+    """
+    top = float(a_tab.size - 1)
+    slope = np.append(np.diff(a_tab), 0.0)
+
+    def interp(zv):
+        pos = zv - z_lo
+        pos *= inv_dz
+        np.clip(pos, 0.0, top, out=pos)
+        node = np.floor(pos)
+        i = node.astype(np.intp)
+        pos -= node
+        return a_tab.take(i) + slope.take(i) * pos
+
+    return interp
 
 
 def _milstein(z, a, h, xi, drift_c, psi, interp):
@@ -85,9 +104,9 @@ def _milstein(z, a, h, xi, drift_c, psi, interp):
     sh = np.sqrt(h)
     mu_h = (drift_c * (onema * onema)) * h
     sg = psi * onema
-    probe = z + mu_h + sg * sh
-    sg2 = psi * (1.0 - interp(probe))
-    return z + mu_h + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
+    zm = z + mu_h
+    sg2 = psi * (1.0 - interp(zm + sg * sh))
+    return zm + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
 
 
 def _advance(z, a, pay, d1, d2, h, xi, e1, em1, e2, drift_c, psi, u, c, interp):
@@ -121,29 +140,45 @@ def _close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horiz
     return T[frozen], np.where(will_stop, 1.0, 0.0)[frozen]
 
 
+def _queue_rows(q, n_paths, drift_sign, psi):
+    """Type, path index within the type and drift constant of queue positions q."""
+    kind, j = np.divmod(q, n_paths)
+    drift_c = np.array([s * 0.5 * psi * psi for s in drift_sign])[kind]
+    return kind, j, drift_c
+
+
 def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
              t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag,
              batch=4096, path_offset=0,
              dt_band=None, band_lo=np.inf, band_hi=-np.inf):
-    """Simulate n_paths of the game; columns (T, stopped, pay, e^{-r1 T}, e^{-r2 T}, z_probe).
+    """Simulate n_paths of each agent type in one pool.
 
-    Row j of the result is the path with stream index path_offset + j; at
-    most batch paths are in flight at once.
+    drift_sign and tag hold one entry per type: +1.0 for the noninvestible
+    type's upward drift or -1.0 for the investible type's, and the type's
+    Philox tag. Returns shape (types, n_paths, 6), columns (T, stopped, pay,
+    e^{-r1 T}, e^{-r2 T}, z_probe); row j of type k is the path with stream
+    index path_offset + j under tag[k]. At most batch paths are in flight
+    at once, over all types; no result depends on batch or on the types
+    that share the pool.
     """
-    drift_c = drift_sign * 0.5 * psi * psi
     exp_scale = 1.0 / lam
     if dt_band is None:
         dt_band = dt
     e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt); e2dt = math.exp(-r2 * dt)
     e1db = math.exp(-r1 * dt_band); em1db = -math.expm1(-r1 * dt_band)
     e2db = math.exp(-r2 * dt_band)
-    interp = partial(_interp, a_tab, z_lo, inv_dz)
-    out = np.empty((n_paths, 6))
+    interp = _lookup(a_tab, z_lo, inv_dz)
+    total = len(tag) * n_paths
+    out = np.empty((total, 6))
 
-    n = min(batch, n_paths)
-    path = np.zeros(n, dtype=np.int64)       # path held by each row
+    # Rows of finished paths keep stepping on stale state until they are
+    # refilled or dropped: their steps shrink to zero at the arrival or the
+    # horizon, and nothing reads them but the masks below, which skip them.
+    n = min(batch, total)
+    path = np.zeros(n, dtype=np.int64)       # queue position of the path held by each row
     slot = np.arange(n)                      # row of the draw buffers it reads
     alive = np.zeros(n, dtype=bool)
+    drift_c = np.empty(n)                    # the row's type's drift constant
     gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
     t = np.empty(n); z = np.empty(n); d1 = np.empty(n); d2 = np.empty(n); pay = np.empty(n)
     a = np.empty(n)                          # mimicking intensity at z
@@ -154,12 +189,13 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
 
     def admit(free):
         nonlocal started
-        r, j = _queued(free, started, n_paths)
+        r, q = _queued(free, started, total)
         started += r.size
-        path[r] = j
-        for i in r:
-            gens_n[i] = _gen(seed, tag, path_offset + int(path[i]), 0)
-            gens_e[i] = _gen(seed, tag, path_offset + int(path[i]), 1)
+        path[r] = q
+        kind, j, drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
+        for i, k, jj in zip(r, kind, j):
+            gens_n[i] = _gen(seed, tag[k], path_offset + int(jj), 0)
+            gens_e[i] = _gen(seed, tag[k], path_offset + int(jj), 1)
             echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
             nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
         t[r] = 0.0; z[r] = z0; d1[r] = 1.0; d2[r] = 1.0; pay[r] = 0.0
@@ -187,20 +223,28 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
             zpr[late] = z[late]; prdone[late] = True
             finish(frozen, T, stopped)
 
+        # full steps take the precomputed factors; only steps cut short by
+        # an arrival or the horizon pay for exp
         in_band = (band_lo < z) & (z < band_hi)
         h = np.where(in_band, dt_band, dt)
+        e1 = np.where(in_band, e1db, e1dt)
+        em1 = np.where(in_band, em1db, em1dt)
+        e2 = np.where(in_band, e2db, e2dt)
         lim = np.zeros(alive.size, dtype=np.int8)
-        m1 = (arr - t) < h
-        h[m1] = (arr - t)[m1]; lim[m1] = 1
-        m2 = (horizon - t) < h
-        h[m2] = (horizon - t)[m2]; lim[m2] = 2
+        to_arr = arr - t
+        m1 = to_arr < h
+        h[m1] = to_arr[m1]; lim[m1] = 1
+        to_hz = horizon - t
+        m2 = to_hz < h
+        h[m2] = to_hz[m2]; lim[m2] = 2
         np.maximum(h, 0.0, out=h)
-
-        full = lim == 0
-        with np.errstate(under="ignore", over="ignore"):
-            e1 = np.where(full, np.where(in_band, e1db, e1dt), np.exp(-r1 * h))
-            em1 = np.where(full, np.where(in_band, em1db, em1dt), -np.expm1(-r1 * h))
-            e2 = np.where(full, np.where(in_band, e2db, e2dt), np.exp(-r2 * h))
+        short = np.flatnonzero(alive & (lim > 0))
+        if short.size:
+            hs = h[short]
+            with np.errstate(under="ignore", over="ignore"):
+                e1[short] = np.exp(-r1 * hs)
+                em1[short] = -np.expm1(-r1 * hs)
+                e2[short] = np.exp(-r2 * hs)
 
         spent = npos >= _CHUNK_N
         for i in np.nonzero(spent & alive)[0]:
@@ -208,12 +252,9 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
         npos[spent] = 0
         nrm = nchunk[slot, npos]; npos += 1
 
-        z_new, a_new, pay_new, d1_new, d2_new = _advance(z, a, pay, d1, d2, h, nrm, e1, em1,
-                                                         e2, drift_c, psi, u, c, interp)
-        np.copyto(pay, pay_new, where=alive); np.copyto(z, z_new, where=alive)
-        np.copyto(a, a_new, where=alive)
-        np.copyto(d1, d1_new, where=alive); np.copyto(d2, d2_new, where=alive)
-        np.copyto(t, t + h, where=alive)
+        z, a, pay, d1, d2 = _advance(z, a, pay, d1, d2, h, nrm, e1, em1, e2,
+                                     drift_c, psi, u, c, interp)
+        t = t + h
 
         hit = alive & (lim == 1)
         if hit.any():
@@ -240,50 +281,66 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
         # finished rows when they make up half the pool (the draw buffers
         # stay in place)
         live = np.count_nonzero(alive)
-        if started < n_paths:
+        if started < total:
             if live < alive.size:
                 admit(np.nonzero(~alive)[0])
         elif 2 * live <= alive.size:
             keep = np.nonzero(alive)[0]
-            (path, slot, alive, gens_n, gens_e, t, z, a, d1, d2, pay, zpr, prdone, epos, arr,
-             npos) = (x[keep] for x in (path, slot, alive, gens_n, gens_e, t, z, a, d1, d2,
-                                        pay, zpr, prdone, epos, arr, npos))
-    return out
+            (path, slot, alive, drift_c, gens_n, gens_e, t, z, a, d1, d2, pay, zpr, prdone,
+             epos, arr, npos) = (x[keep] for x in (path, slot, alive, drift_c, gens_n, gens_e,
+                                                   t, z, a, d1, d2, pay, zpr, prdone, epos,
+                                                   arr, npos))
+    return out.reshape(len(tag), n_paths, 6)
 
 
 def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, horizon,
                 z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi,
                 batch=4096):
-    """Simulate n_paths at dt and at dt/2 on shared Brownian paths.
+    """Simulate n_paths of each agent type at dt and at dt/2 on shared Brownian paths.
 
-    Returns shape (2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns
-    (T, stopped, pay, e^{-r1 T}, e^{-r2 T}). At most batch paths are in
-    flight at once.
+    drift_sign and tag hold one entry per type, as in run_main. Returns
+    shape (types, 2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns (T,
+    stopped, pay, e^{-r1 T}, e^{-r2 T}). Each pass of the loop takes a
+    joint step of every leg that is level with or behind its partner, then
+    a catch-up step of the fine leg where it is still behind. At most batch
+    paths are in flight at once, over all types; no result depends on
+    batch or on the types that share the pool.
     """
-    drift_c = drift_sign * 0.5 * psi * psi
     exp_scale = 1.0 / lam
     # leg 0 steps at dt (dt/refine in the band), leg 1 at dt/2 (dt/(2 refine));
-    # every step spans a whole number of units of length du
+    # every step spans a whole number of units of length du. Per leg (row)
+    # and side of the band (column: outside, inside): units per step, their
+    # square root, step length and discount factors over a full step
     du = dt / (2 * refine)
-    k_out = np.array([[2 * refine], [refine]]); k_in = np.array([[2], [1]])
-    sk_out = np.sqrt(k_out); sk_in = np.sqrt(k_in)
-    h_out = np.array([[dt], [dt / 2]]); h_in = h_out / refine
+    k_tab = np.array([[2 * refine, 2], [refine, 1]])
+    h_tab = np.array([[dt, dt / refine], [dt / 2, dt / 2 / refine]])
+    with np.errstate(under="ignore"):
+        tabs = (k_tab, np.sqrt(k_tab), h_tab, np.exp(-r1 * h_tab), -np.expm1(-r1 * h_tab),
+                np.exp(-r2 * h_tab))
+    joint = [(x[:, :1], x[:, 1:]) for x in tabs]
+    fine = [(x[1, 0], x[1, 1]) for x in tabs]
     kmax = 2 * refine
-    chunk = max(_CHUNK_N, 2 * kmax + 2)
+    # the window of drawn units must cover two steps of either leg past the
+    # lagging one; a power of two so that ring positions are a bit mask
+    chunk = max(_CHUNK_N, 1 << (2 * kmax + 1).bit_length())
     ring_len = 2 * chunk
-    interp = partial(_interp, a_tab, z_lo, inv_dz)
-    out = np.empty((2, n_paths, 5))
+    wrap = ring_len - 1
+    interp = _lookup(a_tab, z_lo, inv_dz)
+    total = len(tag) * n_paths
+    out = np.empty((len(tag), 2, n_paths, 5))
 
     # Per path: the shared arrival clock and Brownian path. ring holds the
     # running sums C[q] of the path's unit normals for q in
     # [filled - ring_len, filled), at slot q % ring_len; the units of the
     # current segment are normals base, base + 1, ... Differencing running
     # sums costs only rounding at their scale, far below what the check resolves.
-    n = min(batch, n_paths)
-    path = np.zeros(n, dtype=np.int64)       # path held by each row
+    n = min(batch, total)
+    path = np.zeros(n, dtype=np.int64)       # queue position of the path held by each row
     slot = np.arange(n)                      # row of the draw buffers it reads
+    drift_c = np.empty(n)                    # the row's type's drift constant
     gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
     ring = np.zeros((n, ring_len))
+    flat = ring.reshape(-1)
     echunk = np.empty((n, _CHUNK_E))
     filled = np.empty(n, dtype=np.int64); base = np.empty(n, dtype=np.int64)
     epos = np.empty(n, dtype=np.int64)
@@ -297,6 +354,7 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
     shape = (2, n)
     z = np.empty(shape); d1 = np.empty(shape); d2 = np.empty(shape); pay = np.empty(shape)
     a = np.empty(shape)                      # mimicking intensity at z
+    cm = np.empty(shape)                     # running sum C at the leg's unit
     m = np.full(shape, _DEAD, dtype=np.int64)
     off = slot * ring_len
     started = 0
@@ -314,12 +372,13 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
 
     def admit(free):
         nonlocal started
-        r, j = _queued(free, started, n_paths)
+        r, q = _queued(free, started, total)
         started += r.size
-        path[r] = j
-        for i in r:
-            gens_n[i] = _gen(seed, tag, int(path[i]), 0)
-            gens_e[i] = _gen(seed, tag, int(path[i]), 1)
+        path[r] = q
+        kind, j, drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
+        for i, k, jj in zip(r, kind, j):
+            gens_n[i] = _gen(seed, tag[k], int(jj), 0)
+            gens_e[i] = _gen(seed, tag[k], int(jj), 1)
             ring[slot[i], 0] = 0.0
             ring[slot[i], 1:chunk] = np.cumsum(gens_n[i].standard_normal(chunk - 1))
             echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
@@ -327,63 +386,83 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         anchor[r] = 0.0; arr[r] = echunk[slot[r], 0]
         open_segment(r)
         z[:, r] = z0; d1[:, r] = 1.0; d2[:, r] = 1.0; pay[:, r] = 0.0; m[:, r] = 0
+        cm[:, r] = 0.0
         a[:, r] = interp(z[:, r])
 
     def finish(mask, T, stopped):
         leg, col = np.nonzero(mask)
-        out[leg, path[col]] = np.stack([T, stopped, pay[mask], d1[mask], d2[mask]], axis=-1)
+        kind, j = np.divmod(path[col], n_paths)
+        out[kind, leg, j] = np.stack([T, stopped, pay[mask], d1[mask], d2[mask]], axis=-1)
         m[mask] = _DEAD
+
+    def step(legs, consts, go):
+        """Step the legs picked by legs (both, or the fine one) where go.
+
+        Returns the mask of the steps that end the segment.
+        """
+        (k_out, k_in), (sk_out, sk_in), (h_out, h_in), (e1_out, e1_in), \
+            (em1_out, em1_in), (e2_out, e2_in) = consts
+        zl = z[legs]; ml = m[legs]; c0 = cm[legs]
+        in_band = (band_lo < zl) & (zl < band_hi)
+        k = np.where(in_band, k_in, k_out)
+        c1 = flat[off + ((base + ml + k) & wrap)]
+        xi = (c1 - c0) / np.where(in_band, sk_in, sk_out)
+        h = np.where(in_band, h_in, h_out)
+        e1 = np.where(in_band, e1_in, e1_out)
+        em1 = np.where(in_band, em1_in, em1_out)
+        e2 = np.where(in_band, e2_in, e2_out)
+        # the step that reaches the arrival or the horizon runs to the
+        # segment's end: its whole units, plus the partial unit
+        last = go & (ml + k >= n_end)
+        if last.any():
+            idx = np.nonzero(last)
+            col = idx[-1]
+            hl = np.maximum(seg_end[col] - (anchor[col] + ml[idx] * du), 0.0)
+            pe = base[col] + n_full[col]
+            c1l = flat[off[col] + (pe & wrap)]
+            c2l = flat[off[col] + ((pe + 1) & wrap)]
+            shl = np.sqrt(hl)
+            xi[idx] = ((math.sqrt(du) * (c1l - c0[idx]) + sfrac[col] * (c2l - c1l))
+                       / np.where(shl > 0.0, shl, 1.0))
+            c1[idx] = c2l                    # the next segment starts here
+            h[idx] = hl
+            with np.errstate(under="ignore", over="ignore"):
+                e1[idx] = np.exp(-r1 * hl)
+                em1[idx] = -np.expm1(-r1 * hl)
+                e2[idx] = np.exp(-r2 * hl)
+        new = _advance(zl, a[legs], pay[legs], d1[legs], d2[legs], h, xi, e1, em1, e2,
+                       drift_c, psi, u, c, interp)
+        for x, x_new in zip((zl, a[legs], pay[legs], d1[legs], d2[legs], c0), (*new, c1)):
+            np.copyto(x, x_new, where=go)
+        np.add(ml, k, out=ml, where=go)
+        return last
 
     admit(np.arange(n))
     while path.size:
         changed = False
         act = m < n_end
-        t = anchor + m * du
         frozen = act & (np.abs(z) >= z_cap)
         if frozen.any():
+            t = anchor + m * du
             finish(frozen, *_close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star,
                                           r1, r2, u, c, horizon))
             act &= ~frozen
             changed = True
 
-        # advance whichever leg lags, so the two stay within kmax units and
-        # share one window of drawn units
-        go = act & (m <= m[::-1])
-        need = go & (base + m + (kmax + 1) >= filled)
+        # keep the units of two steps past the lagging leg in the window
+        lag = np.minimum(m[0], m[1])
+        need = (lag < n_end) & (base + lag + (2 * kmax + 1) >= filled)
         if need.any():
-            for i in np.nonzero(need.any(axis=0))[0]:
-                q = filled[i] % ring_len
+            for i in np.nonzero(need)[0]:
+                q = filled[i] & wrap
                 row = ring[slot[i]]
                 row[q:q + chunk] = row[q - 1] + np.cumsum(gens_n[i].standard_normal(chunk))
                 filled[i] += chunk
 
-        in_band = (band_lo < z) & (z < band_hi)
-        k = np.where(in_band, k_in, k_out)
-        last = m + k >= n_end            # the step ends at the arrival or the horizon
-        p0 = base + m
-        p1 = np.where(last, base + n_full, p0 + k)
-        flat = ring.reshape(-1)
-        c0 = flat[off + p0 % ring_len]
-        c1 = flat[off + p1 % ring_len]
-        c2 = flat[off + (p1 + 1) % ring_len]
-        h = np.where(last, seg_end - t, np.where(in_band, h_in, h_out))
-        np.maximum(h, 0.0, out=h)
-        # Brownian increment over the step: whole units, plus the partial
-        # unit on the last step of a segment
-        sh = np.sqrt(h)
-        xi_last = (math.sqrt(du) * (c1 - c0) + sfrac * (c2 - c1)) / np.where(sh > 0.0, sh, 1.0)
-        xi = np.where(last, xi_last, (c1 - c0) / np.where(in_band, sk_in, sk_out))
-        with np.errstate(under="ignore", over="ignore"):
-            e1 = np.exp(-r1 * h); em1 = -np.expm1(-r1 * h); e2 = np.exp(-r2 * h)
-
-        z_new, a_new, pay_new, d1_new, d2_new = _advance(z, a, pay, d1, d2, h, xi, e1, em1,
-                                                         e2, drift_c, psi, u, c, interp)
-        np.copyto(z, z_new, where=go); np.copyto(a, a_new, where=go)
-        np.copyto(pay, pay_new, where=go)
-        np.copyto(d1, d1_new, where=go); np.copyto(d2, d2_new, where=go)
-        m += np.where(go, k, 0)
-
-        hit = go & last
+        # joint step of the legs level with or behind their partner, then
+        # the fine leg's catch-up where it is still behind and not frozen
+        hit = step(slice(None), joint, act & (m <= m[::-1]))
+        hit[1] |= step(1, fine, (m[1] < n_end) & (m[1] < m[0]) & (np.abs(z[1]) < z_cap))
         if hit.any():
             at_arr = arr <= horizon
             stop = hit & at_arr & (z >= z_star)
@@ -396,7 +475,7 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
             continue
 
         # open the next segment once every live leg of a path waits at its end
-        lag = m.min(axis=0)
+        lag = np.minimum(m[0], m[1])
         ready = (lag >= n_end) & (lag < _DEAD)
         if ready.any():
             r = np.nonzero(ready)[0]
@@ -413,16 +492,16 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         # refill finished paths' rows from the queue; once it is empty, drop
         # them when they make up half the pool (the draw buffers stay in place)
         live = lag < _DEAD
-        if started < n_paths:
+        if started < total:
             if not live.all():
                 admit(np.nonzero(~live)[0])
         elif 2 * np.count_nonzero(live) <= live.size:
             keep = np.nonzero(live)[0]
-            (path, slot, off, gens_n, gens_e, filled, base, epos, anchor, arr, seg_end,
-             n_full, n_end, sfrac) = (x[keep] for x in (path, slot, off, gens_n, gens_e,
-                                                        filled, base, epos, anchor, arr,
-                                                        seg_end, n_full, n_end, sfrac))
-            z, a, d1, d2, pay, m = (x[:, keep] for x in (z, a, d1, d2, pay, m))
+            (path, slot, off, drift_c, gens_n, gens_e, filled, base, epos, anchor, arr,
+             seg_end, n_full, n_end, sfrac) = (x[keep] for x in (
+                 path, slot, off, drift_c, gens_n, gens_e, filled, base, epos, anchor, arr,
+                 seg_end, n_full, n_end, sfrac))
+            z, a, cm, d1, d2, pay, m = (x[:, keep] for x in (z, a, cm, d1, d2, pay, m))
 
     return out
 
@@ -435,7 +514,7 @@ def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
     """
     drift_c = 0.5 * psi * psi
     e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt)
-    interp = partial(_interp, a_tab, z_lo, inv_dz)
+    interp = _lookup(a_tab, z_lo, inv_dz)
     out = np.empty((n_paths, 4))
 
     n = min(batch, n_paths)

@@ -4,7 +4,9 @@ Simulates the belief process in logit coordinates under each agent type,
 with termination opportunities at exact exponential arrival times. The
 noninvestible type drifts up at +psi^2 (1-a)^2 / 2, the investible type
 down at the mirror rate, both diffusing at psi (1-a). Type-conditioned
-runs combine into unconditional estimates with prior weights.
+runs combine into unconditional estimates with prior weights. Both types
+run in one pool of in-flight paths, whose width and type mix do not change
+any result.
 """
 
 import math
@@ -21,6 +23,7 @@ TYPE_NONINVESTIBLE = "NI"
 TYPE_INVESTIBLE = "I"
 
 _TAG_NI, _TAG_I, _TAG_DIAG = 0, 1, 2
+_BOTH = (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE)
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,8 @@ class SimConfig:
     horizon: float | None = None     # defaults to 20 / min(r1, r2)
     z_cap: float = 12.0
     t_probe: float = 1.0
-    batch: int = 4096                # paths in flight at most; results do not depend on it
+    batch: int = 4096                # paths in flight at most, over both types; results
+                                     # do not depend on it
     band_refine: int = 4             # step shrink factor inside the mixing band
 
     def resolve(self, params: GameParams) -> "SimConfig":
@@ -49,6 +53,10 @@ class SimConfig:
             raise ValueError("p0 must lie in (0, 1)")
         if self.dt is None or self.horizon is None:
             raise ValueError("dt and horizon unresolved; call resolve(params)")
+        for name in ("dt", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dt > 0.01 / max(1.0, params.psi**2) * (1.0 + 1e-12):
             raise ValueError("dt too coarse: need dt <= 0.01 / max(1, psi^2)")
         if self.z_cap < 12.0:
@@ -57,6 +65,8 @@ class SimConfig:
             raise ValueError("n_paths must be positive")
         if self.batch < 1:
             raise ValueError("batch must be positive")
+        if self.band_refine < 1:
+            raise ValueError("band_refine must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -171,21 +181,22 @@ def _refined(weights, samples) -> RefinedEstimate:
     return RefinedEstimate(*coarse, *fine, *diff)
 
 
-def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_type: str, num: Numerics):
-    """Kernel arguments for one type; refine is the step shrink inside the band."""
+def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics):
+    """Kernel arguments for one pool of agent_types; refine is the step shrink in the band."""
     p = eq.params
     a_tab, z_lo, inv_dz = _policy_table(eq, cfg, num)
     if eq.agent.regime == "hump-shaped":
         band_lo, band_hi = eq.agent.z_L - 0.3, eq.agent.z_R + 0.3
-        refine = max(1, cfg.band_refine)
+        refine = cfg.band_refine
     else:
         band_lo, band_hi, refine = np.inf, -np.inf, 1
-    ni = agent_type == TYPE_NONINVESTIBLE
+    ni = [t == TYPE_NONINVESTIBLE for t in agent_types]
     return refine, dict(
-        z0=logit(cfg.p0), z_star=eq.agent.z_star, drift_sign=1.0 if ni else -1.0,
+        z0=logit(cfg.p0), z_star=eq.agent.z_star,
+        drift_sign=tuple(1.0 if x else -1.0 for x in ni),
         psi=p.psi, r1=p.r1, r2=p.r2, u=p.u, c=p.c, lam=p.lam, dt=cfg.dt,
         horizon=cfg.horizon, z_cap=cfg.z_cap, a_tab=a_tab, z_lo=z_lo, inv_dz=inv_dz,
-        seed=cfg.seed, tag=_TAG_NI if ni else _TAG_I, batch=cfg.batch,
+        seed=cfg.seed, tag=tuple(_TAG_NI if x else _TAG_I for x in ni), batch=cfg.batch,
         band_lo=band_lo, band_hi=band_hi)
 
 
@@ -195,9 +206,10 @@ def _martingale(cfg: SimConfig, res_ni, res_i) -> MartingaleResult:
     return MartingaleResult(gap=abs(mix - cfg.p0), se=se, mixture_mean=mix)
 
 
-def _run_type(eq: Equilibrium, cfg: SimConfig, agent_type: str,
-              num: Numerics, n_paths=None, path_offset=0):
-    refine, args = _kernel_args(eq, cfg, agent_type, num)
+def _run_types(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics,
+               n_paths=None, path_offset=0):
+    """Runs of agent_types in one pool; result[k] holds agent_types[k]'s paths."""
+    refine, args = _kernel_args(eq, cfg, agent_types, num)
     return _simkernels.run_main(
         **args, t_probe=cfg.t_probe, n_paths=cfg.n_paths if n_paths is None else n_paths,
         path_offset=path_offset, dt_band=cfg.dt / refine)
@@ -209,8 +221,8 @@ def simulate_path(eq: Equilibrium, agent_type: str, cfg: SimConfig,
     if agent_type not in (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE):
         raise ValueError("agent_type must be 'NI' or 'I'")
     cfg = cfg.resolve(eq.params)
-    rec = _run_type(eq, cfg, agent_type, num, n_paths=1, path_offset=path_index)
-    t, stopped, pay, d1, d2, zpr = rec[0]
+    rec = _run_types(eq, cfg, (agent_type,), num, n_paths=1, path_offset=path_index)
+    t, stopped, pay, d1, d2, zpr = rec[0, 0]
     return PathRecord(stop_time=float(t), stopped=bool(stopped),
                       agent_payoff=float(pay) if agent_type == TYPE_NONINVESTIBLE else math.nan,
                       disc_r1=float(d1), disc_r2=float(d2), p_probe=float(inv_logit(zpr)))
@@ -223,14 +235,13 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
 
     The agent estimate is the mean discounted flow payoff of the
     noninvestible type; the principal estimate weights the two
-    type-conditioned lump-sum estimates by the prior p0. Draws come from
-    per-path streams keyed by (seed, run, path), so reports are
-    reproducible bit for bit.
+    type-conditioned lump-sum estimates by the prior p0. Both types run
+    in one pool. Draws come from per-path streams keyed by (seed, type,
+    path), so reports are reproducible bit for bit.
     """
     cfg = cfg.resolve(eq.params)
     p = eq.params
-    res_ni = _run_type(eq, cfg, TYPE_NONINVESTIBLE, num)
-    res_i = _run_type(eq, cfg, TYPE_INVESTIBLE, num)
+    res_ni, res_i = _run_types(eq, cfg, _BOTH, num)
 
     pay_ni = res_ni[:, 2]
     weights = (cfg.p0, 1.0 - cfg.p0)
@@ -274,17 +285,16 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
 
     Both legs advance through the same step function as estimate_values,
     so the check covers the scheme that produces the reported values.
-    Draws come from per-path Philox streams, so the result does not
-    depend on how many paths are in flight at once (cfg.batch).
+    Both types run in one pool. Draws come from per-path Philox streams,
+    so the result does not depend on how many paths are in flight at once
+    (cfg.batch).
     """
     cfg = cfg.resolve(eq.params)
     p = eq.params
-    res = {}
-    for agent_type in (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE):
-        refine, args = _kernel_args(eq, cfg, agent_type, num)
-        res[agent_type] = _simkernels.run_coupled(**args, refine=refine, n_paths=cfg.n_paths)
-    pay = res[TYPE_NONINVESTIBLE][..., 2]
-    lump = (_lump(res[TYPE_NONINVESTIBLE], p.w_NI), _lump(res[TYPE_INVESTIBLE], p.w_I))
+    refine, args = _kernel_args(eq, cfg, _BOTH, num)
+    res_ni, res_i = _simkernels.run_coupled(**args, refine=refine, n_paths=cfg.n_paths)
+    pay = res_ni[..., 2]
+    lump = (_lump(res_ni, p.w_NI), _lump(res_i, p.w_I))
     return RefinementReport(
         n_paths=cfg.n_paths, seed=cfg.seed, p0=cfg.p0, dt=cfg.dt,
         agent=_refined((1.0,), (pay,)),
@@ -297,8 +307,7 @@ def martingale_check(eq: Equilibrium, cfg: SimConfig, t_probe: float,
     cfg = replace(cfg, t_probe=t_probe).resolve(eq.params)
     if cfg.t_probe > cfg.horizon:
         raise ValueError("t_probe beyond the simulation horizon")
-    return _martingale(cfg, _run_type(eq, cfg, TYPE_NONINVESTIBLE, num),
-                       _run_type(eq, cfg, TYPE_INVESTIBLE, num))
+    return _martingale(cfg, *_run_types(eq, cfg, _BOTH, num))
 
 
 def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,

@@ -41,6 +41,51 @@ def test_config_validation(fig_eq):
     for batch in (0, -5):
         with pytest.raises(ValueError, match="batch"):
             SimConfig(p0=0.3, batch=batch).resolve(FIG)
+    # a step or horizon that is not finite and positive never ends a path
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(p0=0.3, dt=bad).resolve(FIG)
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(p0=0.3, horizon=bad).resolve(FIG)
+    for refine in (0, -3):
+        with pytest.raises(ValueError, match="band_refine"):
+            SimConfig(p0=0.3, band_refine=refine).resolve(FIG)
+
+
+def _interp_reference(a_tab, z_lo, inv_dz, zv):
+    """The table lookup as first written: clamp, index, blend, then patch the top end."""
+    ntab = a_tab.size
+    pos = (zv - z_lo) * inv_dz
+    pos = np.maximum(pos, 0.0)
+    i = pos.astype(np.int64)
+    hi = i >= ntab - 1
+    i = np.minimum(i, ntab - 2)
+    frac = pos - i
+    a = a_tab[i] + (a_tab[i + 1] - a_tab[i]) * frac
+    return np.where(hi, a_tab[ntab - 1], a)
+
+
+def test_lookup_matches_reference(fig_eq):
+    # the fig1 policy table, and a random one on a dyadic grid whose nodes
+    # map to exact table positions
+    from mimicgame._simkernels import _lookup
+    from mimicgame.model import Numerics
+    from mimicgame.simulate import _policy_table
+    rng = np.random.default_rng(3)
+    tables = [_policy_table(fig_eq, SimConfig(p0=0.3).resolve(FIG), Numerics()),
+              (rng.random(129), -16.0, 4.0)]
+    for a_tab, z_lo, inv_dz in tables:
+        z_cap = -z_lo
+        nodes = z_lo + np.arange(a_tab.size) / inv_dz
+        points = np.concatenate([
+            rng.uniform(-z_cap, z_cap, 5000),
+            nodes, nodes[-1:],                                # on nodes, the last one included
+            rng.uniform(-3 * z_cap, z_lo, 50),                # below the table
+            rng.uniform(nodes[-1], 3 * z_cap, 50),            # above the last node
+            [-(z_cap + 1), z_cap + 1]])
+        got = _lookup(a_tab, z_lo, inv_dz)(points)
+        want = _interp_reference(a_tab, z_lo, inv_dz, points)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_determinism_bit_identical(fig_eq):
@@ -63,14 +108,18 @@ def test_batch_split_invariance(fig_eq):
 
 
 def test_pool_refill_keeps_path_index(fig_eq):
-    # a pool of 8 rows over 40 paths refills rows mid-run; each record must
-    # land at its own index and match the path run on its own
+    # a pool of 8 rows over 40 paths of each type refills rows mid-run; each
+    # record must land at its own index and match the path run on its own
     from mimicgame import _simkernels
     from mimicgame.model import Numerics, inv_logit
-    from mimicgame.simulate import _kernel_args, _run_type
+    from mimicgame.simulate import _kernel_args, _run_types
     cfg = SimConfig(p0=0.4, n_paths=40, seed=5, batch=8).resolve(FIG)
-    for agent_type in ("NI", "I"):
-        res = _run_type(fig_eq, cfg, agent_type, Numerics())
+    shared = _run_types(fig_eq, cfg, ("NI", "I"), Numerics())
+    for k, agent_type in enumerate(("NI", "I")):
+        res = shared[k]
+        # a type's rows from the shared pool equal a run of that type alone
+        alone = _run_types(fig_eq, cfg, (agent_type,), Numerics())[0]
+        assert res.tobytes() == alone.tobytes()
         for i in (0, 7, 8, 39):
             rec = simulate_path(fig_eq, agent_type, cfg, path_index=i)
             t, stopped, pay, d1, d2, zpr = res[i]
@@ -78,8 +127,9 @@ def test_pool_refill_keeps_path_index(fig_eq):
                 t, bool(stopped), d1, d2, inv_logit(zpr))
             if agent_type == "NI":
                 assert rec.agent_payoff == pay
-    # the coupled and diagnostic runs give identical arrays at any pool width
-    refine, args = _kernel_args(fig_eq, cfg, "NI", Numerics())
+    # the coupled and diagnostic runs give identical arrays at any pool width,
+    # and the coupled run gives each type the arrays of that type run alone
+    refine, args = _kernel_args(fig_eq, cfg, ("NI", "I"), Numerics())
     diag_args = dict(z0=logit(0.4), z_int_lo=logit(0.05), z_int_hi=logit(0.95), psi=FIG.psi,
                      r1=FIG.r1, u=FIG.u, c=FIG.c, a_thresh=0.9, dt=cfg.dt, horizon=cfg.horizon,
                      a_tab=args["a_tab"], z_lo=args["z_lo"], inv_dz=args["inv_dz"],
@@ -91,6 +141,10 @@ def test_pool_refill_keeps_path_index(fig_eq):
         diag.append(_simkernels.run_diag(**diag_args, batch=width))
     for x in coupled[1:]:
         assert x.tobytes() == coupled[0].tobytes()
+    for k, agent_type in enumerate(("NI", "I")):
+        _, one = _kernel_args(fig_eq, cfg, (agent_type,), Numerics())
+        alone = _simkernels.run_coupled(**dict(one, batch=40), refine=refine, n_paths=40)[0]
+        assert alone.tobytes() == coupled[0][k].tobytes()
     for x in diag[1:]:
         assert x.tobytes() == diag[0].tobytes()
 
@@ -143,11 +197,10 @@ def test_martingale_probe(fig_eq):
 def test_conditional_belief_drifts(fig_eq):
     # the noninvestible side drives the belief up on average, the investible
     # side down: compare the probe means directly
-    from mimicgame.simulate import _run_type
+    from mimicgame.simulate import _run_types
     from mimicgame.model import Numerics, inv_logit
     cfg = SimConfig(p0=0.5, n_paths=8000, seed=6, t_probe=1.0).resolve(FIG)
-    res_ni = _run_type(fig_eq, cfg, "NI", Numerics())
-    res_i = _run_type(fig_eq, cfg, "I", Numerics())
+    res_ni, res_i = _run_types(fig_eq, cfg, ("NI", "I"), Numerics())
     mean_ni = float(np.mean(inv_logit(res_ni[:, 5])))
     mean_i = float(np.mean(inv_logit(res_i[:, 5])))
     assert mean_ni > 0.5 + 0.01
@@ -159,10 +212,10 @@ def test_discount_factor_ordering():
     # the base factor and its power transform
     pars = FIG.with_(r2=0.25)
     eq = mg.solve_equilibrium(pars)
-    from mimicgame.simulate import _run_type
+    from mimicgame.simulate import _run_types
     from mimicgame.model import Numerics
     cfg = SimConfig(p0=0.4, n_paths=4000, seed=13).resolve(pars)
-    res = _run_type(eq, cfg, "NI", Numerics())
+    res = _run_types(eq, cfg, ("NI",), Numerics())[0]
     d1 = res[:, 3]  # e^{-r1 T}
     d2 = res[:, 4]  # e^{-r2 T}, r2 = r1/2
     xi = float(np.mean(d1))
