@@ -23,7 +23,6 @@ from .gaussian import (
     mills_ratio,
     norm_cdf,
     norm_isf_log,
-    norm_pdf,
 )
 from .model import GameParams, Numerics
 

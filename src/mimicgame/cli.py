@@ -206,9 +206,6 @@ def _cmd_simulate(params, numerics, cblock, out: Path, args):
     return EXIT_OK
 
 
-_SWEEP_COLS = ["value", "p_star", "W_probe", "gap_under", "gap_over", "a_at_pstar", "error"]
-
-
 def _cmd_sweep_psi(params, numerics, cblock, out: Path, args):
     psi_list = cblock.get("psi_list", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
     probe_p = cblock.get("probe_p", 0.3)
@@ -328,9 +325,11 @@ def build_parser():
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (dotted path, repeatable)")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--delta", type=float, default=None)
+        if name == "simulate":
+            sp.add_argument("--seed", type=int, default=None)
+        if name == "oracle-check":
+            sp.add_argument("--delta", type=float, default=None)
     return parser
 
 

@@ -94,23 +94,32 @@ def _solve_tridiag(a_grid, b_mask, pgrid, params: GameParams,
 
     # the diffusion dies at the clamped edges, so the exact edge values are
     # the frozen-belief annuities under the policy's own stopping indicator
+    # (+ 0.0: a continuing node where R < 0 is worth 0.0, not -0.0)
     def edge_value(b_edge, r_edge):
-        return params.lam * b_edge * r_edge / (params.r2 + params.lam * b_edge)
+        return params.lam * b_edge * r_edge / (params.r2 + params.lam * b_edge) + 0.0
 
-    ab = np.zeros((3, n))
-    rhs = np.zeros(n)
-    ab[1, 0] = 1.0
-    rhs[0] = edge_value(b_mask[0], r_term[0]) if dirichlet is None else dirichlet[0]
-    ab[1, -1] = 1.0
-    rhs[-1] = edge_value(b_mask[-1], r_term[-1]) if dirichlet is None else dirichlet[1]
+    w = np.empty(n)
+    if dirichlet is None:
+        w[0] = edge_value(b_mask[0], r_term[0])
+        w[-1] = edge_value(b_mask[-1], r_term[-1])
+    else:
+        w[0], w[-1] = dirichlet
+
+    # the edges are known, so only the n - 2 interior nodes are unknowns;
+    # their couplings to the edges move to the right-hand side
+    d = diff[1:-1]
     lam_b = params.lam * b_mask[1:-1]
-    ab[1, 1:-1] = params.r2 + lam_b + 2.0 * diff[1:-1]
-    ab[0, 2:] = -diff[1:-1]
-    ab[2, :-2] = -diff[1:-1]
-    rhs[1:-1] = lam_b * r_term[1:-1]
+    ab = np.zeros((3, n - 2))
+    ab[0, 1:] = -d[:-1]
+    ab[1] = params.r2 + lam_b + 2.0 * d
+    ab[2, :-1] = -d[1:]
+    rhs = lam_b * r_term[1:-1]
     if extra_rhs is not None:
-        rhs[1:-1] += extra_rhs[1:-1]
-    return solve_banded((1, 1), ab, rhs)
+        rhs += extra_rhs[1:-1]
+    rhs[0] += d[0] * w[0]
+    rhs[-1] += d[-1] * w[-1]
+    w[1:-1] = solve_banded((1, 1), ab, rhs)
+    return w
 
 
 def solve_value_given_cutoff(agent: AgentSolution, p_cut: float, params: GameParams,

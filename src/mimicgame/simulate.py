@@ -10,6 +10,7 @@ any result.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,12 +62,10 @@ class SimConfig:
             raise ValueError("dt too coarse: need dt <= 0.01 / max(1, psi^2)")
         if self.z_cap < 12.0:
             raise ValueError("z_cap must be at least 12")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
-        if self.batch < 1:
-            raise ValueError("batch must be positive")
-        if self.band_refine < 1:
-            raise ValueError("band_refine must be at least 1")
+        for name in ("n_paths", "batch", "band_refine"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,19 @@ def test_config_validation_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 1
     # w_I must stay negative
+    bad.write_text(json.dumps(FIG_BLOCK))
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path),
                  "--set", "params.w_I=0.5"]) == 1
+    # a path count must be an integer
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path), "--grid", "1001",
+                 "--set", "command.n_paths=2.5"]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--seed", "3")])
+def test_solve_rejects_flags_it_does_not_read(tmp_path, fig_config, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", fig_config, "--out", str(tmp_path), flag, value])
+    assert exc.value.code == 2
 
 
 def test_overrides_and_header_roundtrip(tmp_path, fig_config):

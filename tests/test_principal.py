@@ -62,6 +62,19 @@ def test_equilibrium_w_shape(fig_eq):
     assert np.all(w[inner] < w_over[inner])
 
 
+@pytest.mark.parametrize("pars", [
+    FIG, FIG.with_(psi=5.0), FIG.with_(r1=2.0), FIG.with_(r1=0.05, r2=0.05),
+], ids=["fig1", "psi5", "r1-2", "patient"])
+def test_value_edges_exact(pars):
+    # the diffusion dies at both edges: W there is the frozen-belief annuity,
+    # 0 below the cutoff and lam R / (r2 + lam) above it, with no rounding
+    w = mg.solve_equilibrium(pars).W
+    r_top = termination_payoff(w.states[-1], pars)
+    assert w.values[0] == 0.0 and not np.signbit(w.values[0])   # no "-0" in curve_W.csv
+    assert w.values[-1] == pars.lam * r_top / (pars.r2 + pars.lam)
+    assert w.values.min() >= 0.0
+
+
 def test_cutoff_bounds_random_draws():
     rng = np.random.default_rng(23)
     for _ in range(100):

@@ -50,6 +50,10 @@ def test_config_validation(fig_eq):
     for refine in (0, -3):
         with pytest.raises(ValueError, match="band_refine"):
             SimConfig(p0=0.3, band_refine=refine).resolve(FIG)
+    # counts must be integers, or they fail deep inside the kernels
+    for name in ("n_paths", "batch", "band_refine"):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(p0=0.3, **{name: 2.5}).resolve(FIG)
 
 
 def _interp_reference(a_tab, z_lo, inv_dz, zv):
