@@ -6,6 +6,7 @@ import pytest
 
 from mimicgame.gaussian import (
     log_norm_cdf_diff,
+    log_norm_pdf,
     log_norm_sf,
     mills_ratio,
     norm_cdf,
@@ -23,6 +24,12 @@ def test_log_norm_sf_against_mpmath():
         assert got == pytest.approx(ref, rel=1e-13, abs=1e-300)
         ref = float(mp.ncdf(mp.mpf(x)))
         assert float(norm_cdf(x)) == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+
+def test_sf_cdf_symmetry():
+    x = np.linspace(-10, 10, 2001)
+    assert np.allclose(norm_cdf(x) + np.exp(log_norm_sf(x)), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(log_norm_pdf(x), log_norm_pdf(-x), rtol=0, atol=0)
 
 
 def test_mills_ratio_against_mpmath():
