@@ -11,7 +11,7 @@ discrete-time dynamic program, and runs the comparative-statics sweeps.
 
 __version__ = "0.1.0"
 
-from .model import GameParams, Numerics, BeliefState, logit, inv_logit
+from .model import GameParams, Numerics, logit, inv_logit
 from .model import termination_payoff, myopic_cutoffs, benchmark_values
 from .model import lambda_tilde, transform_alternative_params
 from .agent import (

@@ -4,16 +4,17 @@ Each run steps its paths in one pool of numpy arrays, one row per path in
 flight and at most `batch` rows wide. run_main and run_coupled take both
 agent types in one pool: the queue holds the first type's paths, then the
 second's, and each row carries its type's drift sign and Philox tag. A row
-whose path finishes writes the outcome to the path's slot of the output
-and takes the next path from the queue; once the queue is empty, finished
-rows are dropped whenever they make up half the pool, so a run pays one
-drain tail however many types it holds. A path's draw buffers stay in the
-buffer row it was admitted to, so dropping rows copies only the per-path
-state. All randomness comes from per-path counter-based Philox streams
-keyed by (seed, type tag, path index), consumed one normal per diffusion
-step and one exponential per opportunity arrival, so a path's trajectory
-depends neither on the row it runs in, nor on the width of the pool, nor
-on the types that share it.
+whose path finishes writes the outcome to the path's slot of the output.
+_Pool holds the queue, the rows' state and the one rule that all three
+kernels follow for finished rows: they take the next paths from the queue
+while it lasts, and once it is empty they are dropped whenever they make
+up half the pool, so a run pays one drain tail however many types it
+holds. A path's draw buffers stay in the buffer row it was admitted to,
+so dropping rows copies only the per-path state. All randomness comes
+from per-path counter-based Philox streams keyed by (seed, type tag, path
+index), consumed one normal per diffusion step and one exponential per
+opportunity arrival, so a path's trajectory depends neither on the row it
+runs in, nor on the width of the pool, nor on the types that share it.
 
 Paths freeze once |z| reaches the truncation cap, after which their fate
 is deterministic and closed in one shot. Steps are clipped to the next
@@ -21,15 +22,15 @@ opportunity arrival and to the horizon, so stopping happens exactly at
 arrival times and discounting integrates exactly over each step. The
 diffusion advances by a derivative-free Milstein step (one probe lookup
 of the volatility at the drifted state, no extra draws), and the step
-shrinks by band_refine inside the mixing band where the coefficients
-vary: plain Euler at the nominal step leaves an O(dt) payoff bias with a
-large constant there, visible at 1e5 paths. Outside the band the
-coefficients are constant and the step is exact in distribution. Each
-row carries the mimicking intensity at its current state, which the
-previous step's end-of-step lookup already gave, so a step makes two
-table lookups: the probe and the step's end. A full step takes its
-discount factors from constants; only a step cut short by an arrival or
-the horizon evaluates exp.
+shrinks by a fixed factor (refine, dt/dt_band) inside the mixing band
+where the coefficients vary: plain Euler at the nominal step leaves an
+O(dt) payoff bias with a large constant there, visible at 1e5 paths.
+Outside the band the coefficients are constant and the step is exact in
+distribution. Each row carries the mimicking intensity at its current
+state, which the previous step's end-of-step lookup already gave, so a
+step makes two table lookups: the probe and the step's end. A full step
+takes its discount factors from constants; only a step cut short by an
+arrival or the horizon evaluates exp.
 
 The step-size refinement run (run_coupled) simulates each
 path at dt and at dt/2 on one shared Brownian path. Independent runs at
@@ -37,7 +38,7 @@ the two step sizes differ by sampling noise of the size of their standard
 errors (their payoffs correlate only about 0.7 path by path when they merely
 share streams, because the normals land at different times), which hides a
 bias smaller than that noise. Here the unit normals live on a grid of
-dt/(2 band_refine), restarted at every opportunity arrival, so each step of
+dt/(2 refine), restarted at every opportunity arrival, so each step of
 either leg spans whole units and takes the scaled sum of their normals;
 one extra draw covers the partial unit before an arrival or the horizon.
 Arrival times come from the same exponential stream as the main run. Each
@@ -66,12 +67,6 @@ _DEAD = 1 << 62        # unit position of a finished leg in the coupled run
 def _gen(seed, tag, idx, stream):
     return Generator(Philox(key=np.array([seed, (tag << 48) + 2 * idx + stream],
                                          dtype=np.uint64)))
-
-
-def _queued(free, n_started, n_paths):
-    """Rows of free that take queued paths, and the paths' indices, in queue order."""
-    rows = free[:n_paths - n_started]
-    return rows, np.arange(n_started, n_started + rows.size)
 
 
 def _lookup(a_tab, z_lo, inv_dz):
@@ -140,6 +135,58 @@ def _close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horiz
     return T[frozen], np.where(will_stop, 1.0, 0.0)[frozen]
 
 
+class _Pool:
+    """The rows of one run's paths in flight, fed from a queue of total paths.
+
+    Row state lives in attributes holding arrays with the row on the last
+    axis: path (the queue position of the path each row holds), slot (the
+    row of the draw buffers it reads) and those a kernel adds with hold.
+    settle drops rows from all of them at once. Draw buffers are not row
+    state: they stay in place, and rows address them by slot.
+    """
+
+    def __init__(self, total, batch):
+        n = min(batch, total)
+        self.total = total
+        self.started = 0                     # paths taken from the queue
+        self.path = np.zeros(n, dtype=np.int64)
+        self.slot = np.arange(n)
+        self._names = ["path", "slot"]
+
+    def hold(self, names, dtype=float, legs=None):
+        """Add an uninitialised row-state array per name, with a leading axis of legs if given."""
+        shape = (self.slot.size,) if legs is None else (legs, self.slot.size)
+        for name in names.split():
+            setattr(self, name, np.empty(shape, dtype=dtype))
+            self._names.append(name)
+
+    def take(self, free):
+        """Give queued paths to the rows free, in queue order.
+
+        Returns the rows that took a path and the paths' queue positions.
+        """
+        rows = free[:self.total - self.started]
+        q = np.arange(self.started, self.started + rows.size)
+        self.started += rows.size
+        self.path[rows] = q
+        return rows, q
+
+    def settle(self, live, admit):
+        """Refill the rows that are not live, or drop them.
+
+        While the queue lasts, admit(rows) gives them the next paths; once
+        it is empty, they are dropped when they make up half the pool.
+        """
+        n_live = np.count_nonzero(live)
+        if self.started < self.total:
+            if n_live < live.size:
+                admit(np.flatnonzero(~live))
+        elif 2 * n_live <= live.size:
+            keep = np.flatnonzero(live)
+            for name in self._names:
+                setattr(self, name, getattr(self, name)[..., keep])
+
+
 def _queue_rows(q, n_paths, drift_sign, psi):
     """Type, path index within the type and drift constant of queue positions q."""
     kind, j = np.divmod(q, n_paths)
@@ -147,10 +194,37 @@ def _queue_rows(q, n_paths, drift_sign, psi):
     return kind, j, drift_c
 
 
+def _next_arrivals(pool, rows, start, echunk, scale):
+    """Set the rows' next arrival to start plus their next exponential draw.
+
+    A row whose chunk of draws is spent draws the next chunk first; an
+    admitted row starts with epos at _CHUNK_E, so it draws its first here.
+    """
+    for i in rows[pool.epos[rows] >= _CHUNK_E]:
+        echunk[pool.slot[i]] = pool.gens_e[i].exponential(scale=scale, size=_CHUNK_E)
+        pool.epos[i] = 0
+    pool.arr[rows] = start + echunk[pool.slot[rows], pool.epos[rows]]
+    pool.epos[rows] += 1
+
+
+def _normals(pool, nchunk):
+    """Each row's next standard normal; live rows whose chunk is spent draw the next chunk.
+
+    An admitted row starts with npos at _CHUNK_N, so its first step draws
+    its first chunk.
+    """
+    spent = pool.npos >= _CHUNK_N
+    for i in np.flatnonzero(spent & pool.alive):
+        nchunk[pool.slot[i]] = pool.gens_n[i].standard_normal(_CHUNK_N)
+    pool.npos[spent] = 0
+    nrm = nchunk[pool.slot, pool.npos]
+    pool.npos += 1
+    return nrm
+
+
 def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
-             t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag,
-             batch=4096, path_offset=0,
-             dt_band=None, band_lo=np.inf, band_hi=-np.inf):
+             t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag, batch, path_offset,
+             dt_band, band_lo, band_hi):
     """Simulate n_paths of each agent type in one pool.
 
     drift_sign and tag hold one entry per type: +1.0 for the noninvestible
@@ -162,8 +236,6 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
     that share the pool.
     """
     exp_scale = 1.0 / lam
-    if dt_band is None:
-        dt_band = dt
     e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt); e2dt = math.exp(-r2 * dt)
     e1db = math.exp(-r1 * dt_band); em1db = -math.expm1(-r1 * dt_band)
     e2db = math.exp(-r2 * dt_band)
@@ -174,71 +246,63 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
     # Rows of finished paths keep stepping on stale state until they are
     # refilled or dropped: their steps shrink to zero at the arrival or the
     # horizon, and nothing reads them but the masks below, which skip them.
-    n = min(batch, total)
-    path = np.zeros(n, dtype=np.int64)       # queue position of the path held by each row
-    slot = np.arange(n)                      # row of the draw buffers it reads
-    alive = np.zeros(n, dtype=bool)
-    drift_c = np.empty(n)                    # the row's type's drift constant
-    gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
-    t = np.empty(n); z = np.empty(n); d1 = np.empty(n); d2 = np.empty(n); pay = np.empty(n)
-    a = np.empty(n)                          # mimicking intensity at z
-    zpr = np.empty(n); prdone = np.empty(n, dtype=bool)
-    echunk = np.empty((n, _CHUNK_E)); epos = np.empty(n, dtype=np.int64); arr = np.empty(n)
-    nchunk = np.empty((n, _CHUNK_N)); npos = np.empty(n, dtype=np.int64)
-    started = 0
+    # drift_c is the row's type's drift constant, a the mimicking intensity
+    # at z, zpr the belief at the probe time once prdone.
+    pool = _Pool(total, batch)
+    pool.hold("drift_c t z a d1 d2 pay zpr arr")
+    pool.hold("alive prdone", bool)
+    pool.hold("epos npos", np.int64)
+    pool.hold("gens_n gens_e", object)
+    n = pool.slot.size
+    echunk = np.empty((n, _CHUNK_E)); nchunk = np.empty((n, _CHUNK_N))
 
     def admit(free):
-        nonlocal started
-        r, q = _queued(free, started, total)
-        started += r.size
-        path[r] = q
-        kind, j, drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
+        r, q = pool.take(free)
+        kind, j, pool.drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
         for i, k, jj in zip(r, kind, j):
-            gens_n[i] = _gen(seed, tag[k], path_offset + int(jj), 0)
-            gens_e[i] = _gen(seed, tag[k], path_offset + int(jj), 1)
-            echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
-            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
-        t[r] = 0.0; z[r] = z0; d1[r] = 1.0; d2[r] = 1.0; pay[r] = 0.0
-        a[r] = interp(z[r])
-        prdone[r] = False; epos[r] = 1; arr[r] = echunk[slot[r], 0]; npos[r] = 0
-        alive[r] = True
+            pool.gens_n[i] = _gen(seed, tag[k], path_offset + int(jj), 0)
+            pool.gens_e[i] = _gen(seed, tag[k], path_offset + int(jj), 1)
+        pool.t[r] = 0.0; pool.z[r] = z0; pool.d1[r] = 1.0; pool.d2[r] = 1.0; pool.pay[r] = 0.0
+        pool.a[r] = interp(pool.z[r])
+        pool.prdone[r] = False; pool.npos[r] = _CHUNK_N; pool.epos[r] = _CHUNK_E
+        _next_arrivals(pool, r, 0.0, echunk, exp_scale)
+        pool.alive[r] = True
 
     def finish(mask, T, stopped):
-        j = path[mask]
+        # a path that ends before the probe time records its final belief
+        j = pool.path[mask]
         out[j, 0] = T; out[j, 1] = stopped
-        out[j, 2] = pay[mask]; out[j, 3] = d1[mask]; out[j, 4] = d2[mask]; out[j, 5] = zpr[mask]
-        alive[mask] = False
+        out[j, 2] = pool.pay[mask]; out[j, 3] = pool.d1[mask]; out[j, 4] = pool.d2[mask]
+        out[j, 5] = np.where(pool.prdone[mask], pool.zpr[mask], pool.z[mask])
+        pool.alive[mask] = False
 
     admit(np.arange(n))
-    while alive.any():
+    while pool.alive.any():
         # probe capture at step boundaries
-        cap = alive & ~prdone & (t >= t_probe)
-        zpr[cap] = z[cap]; prdone[cap] = True
+        cap = pool.alive & ~pool.prdone & (pool.t >= t_probe)
+        pool.zpr[cap] = pool.z[cap]; pool.prdone[cap] = True
 
-        frozen = alive & (np.abs(z) >= z_cap)
+        frozen = pool.alive & (np.abs(pool.z) >= z_cap)
         if frozen.any():
-            T, stopped = _close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star,
-                                       r1, r2, u, c, horizon)
-            late = frozen & ~prdone
-            zpr[late] = z[late]; prdone[late] = True
-            finish(frozen, T, stopped)
+            finish(frozen, *_close_frozen(frozen, pool.z, pool.a, pool.t, pool.arr, pool.pay,
+                                          pool.d1, pool.d2, z_star, r1, r2, u, c, horizon))
 
         # full steps take the precomputed factors; only steps cut short by
         # an arrival or the horizon pay for exp
-        in_band = (band_lo < z) & (z < band_hi)
+        in_band = (band_lo < pool.z) & (pool.z < band_hi)
         h = np.where(in_band, dt_band, dt)
         e1 = np.where(in_band, e1db, e1dt)
         em1 = np.where(in_band, em1db, em1dt)
         e2 = np.where(in_band, e2db, e2dt)
-        lim = np.zeros(alive.size, dtype=np.int8)
-        to_arr = arr - t
+        lim = np.zeros(h.size, dtype=np.int8)
+        to_arr = pool.arr - pool.t
         m1 = to_arr < h
         h[m1] = to_arr[m1]; lim[m1] = 1
-        to_hz = horizon - t
+        to_hz = horizon - pool.t
         m2 = to_hz < h
         h[m2] = to_hz[m2]; lim[m2] = 2
         np.maximum(h, 0.0, out=h)
-        short = np.flatnonzero(alive & (lim > 0))
+        short = np.flatnonzero(pool.alive & (lim > 0))
         if short.size:
             hs = h[short]
             with np.errstate(under="ignore", over="ignore"):
@@ -246,56 +310,29 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
                 em1[short] = -np.expm1(-r1 * hs)
                 e2[short] = np.exp(-r2 * hs)
 
-        spent = npos >= _CHUNK_N
-        for i in np.nonzero(spent & alive)[0]:
-            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
-        npos[spent] = 0
-        nrm = nchunk[slot, npos]; npos += 1
+        nrm = _normals(pool, nchunk)
+        pool.z, pool.a, pool.pay, pool.d1, pool.d2 = _advance(
+            pool.z, pool.a, pool.pay, pool.d1, pool.d2, h, nrm, e1, em1, e2,
+            pool.drift_c, psi, u, c, interp)
+        pool.t = pool.t + h
 
-        z, a, pay, d1, d2 = _advance(z, a, pay, d1, d2, h, nrm, e1, em1, e2,
-                                     drift_c, psi, u, c, interp)
-        t = t + h
-
-        hit = alive & (lim == 1)
+        hit = pool.alive & (lim == 1)
         if hit.any():
-            stop_now = hit & (z >= z_star)
-            late = stop_now & ~prdone
-            zpr[late] = z[late]; prdone[late] = True
-            finish(stop_now, t[stop_now], 1.0)
-            cont = hit & alive
-            if cont.any():
-                idxs = np.nonzero(cont)[0]
-                for i in idxs[epos[idxs] >= _CHUNK_E]:
-                    echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
-                    epos[i] = 0
-                arr[idxs] = t[idxs] + echunk[slot[idxs], epos[idxs]]
-                epos[idxs] += 1
+            stop_now = hit & (pool.z >= z_star)
+            finish(stop_now, pool.t[stop_now], 1.0)
+            cont = np.flatnonzero(hit & pool.alive)
+            if cont.size:
+                _next_arrivals(pool, cont, pool.t[cont], echunk, exp_scale)
 
-        hz = alive & (lim == 2)
+        hz = pool.alive & (lim == 2)
         if hz.any():
-            late = hz & ~prdone
-            zpr[late] = z[late]; prdone[late] = True
             finish(hz, horizon, 0.0)
-
-        # refill finished rows from the queue; once it is empty, drop
-        # finished rows when they make up half the pool (the draw buffers
-        # stay in place)
-        live = np.count_nonzero(alive)
-        if started < total:
-            if live < alive.size:
-                admit(np.nonzero(~alive)[0])
-        elif 2 * live <= alive.size:
-            keep = np.nonzero(alive)[0]
-            (path, slot, alive, drift_c, gens_n, gens_e, t, z, a, d1, d2, pay, zpr, prdone,
-             epos, arr, npos) = (x[keep] for x in (path, slot, alive, drift_c, gens_n, gens_e,
-                                                   t, z, a, d1, d2, pay, zpr, prdone, epos,
-                                                   arr, npos))
+        pool.settle(pool.alive, admit)
     return out.reshape(len(tag), n_paths, 6)
 
 
 def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, horizon,
-                z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi,
-                batch=4096):
+                z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi, batch):
     """Simulate n_paths of each agent type at dt and at dt/2 on shared Brownian paths.
 
     drift_sign and tag hold one entry per type, as in run_main. Returns
@@ -331,69 +368,59 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
 
     # Per path: the shared arrival clock and Brownian path. ring holds the
     # running sums C[q] of the path's unit normals for q in
-    # [filled - ring_len, filled), at slot q % ring_len; the units of the
-    # current segment are normals base, base + 1, ... Differencing running
-    # sums costs only rounding at their scale, far below what the check resolves.
-    n = min(batch, total)
-    path = np.zeros(n, dtype=np.int64)       # queue position of the path held by each row
-    slot = np.arange(n)                      # row of the draw buffers it reads
-    drift_c = np.empty(n)                    # the row's type's drift constant
-    gens_n = np.empty(n, dtype=object); gens_e = np.empty(n, dtype=object)
+    # [filled - ring_len, filled), at slot q % ring_len, which the row reads
+    # at flat offset off; the units of the current segment are normals
+    # base, base + 1, ... Differencing running sums costs only rounding at
+    # their scale, far below what the check resolves.
+    pool = _Pool(total, batch)
+    pool.hold("drift_c anchor arr seg_end sfrac")
+    pool.hold("off filled base epos n_full n_end", np.int64)
+    pool.hold("gens_n gens_e", object)
+    # Per leg and path: m counts the units walked in the current segment;
+    # a leg with m >= n_end waits at the segment's end, and m == _DEAD marks
+    # a finished leg, whose outcome is already in out. a is the mimicking
+    # intensity at z, cm the running sum C at the leg's unit.
+    pool.hold("z a cm d1 d2 pay", legs=2)
+    pool.hold("m", np.int64, legs=2)
+    n = pool.slot.size
+    pool.off[:] = pool.slot * ring_len
     ring = np.zeros((n, ring_len))
     flat = ring.reshape(-1)
     echunk = np.empty((n, _CHUNK_E))
-    filled = np.empty(n, dtype=np.int64); base = np.empty(n, dtype=np.int64)
-    epos = np.empty(n, dtype=np.int64)
-    anchor = np.empty(n); arr = np.empty(n)
-    seg_end = np.empty(n); n_full = np.empty(n, dtype=np.int64)
-    n_end = np.empty(n, dtype=np.int64); sfrac = np.empty(n)
-
-    # Per leg and path: m counts the units walked in the current segment;
-    # a leg with m >= n_end waits at the segment's end, and m == _DEAD marks
-    # a finished leg, whose outcome is already in out.
-    shape = (2, n)
-    z = np.empty(shape); d1 = np.empty(shape); d2 = np.empty(shape); pay = np.empty(shape)
-    a = np.empty(shape)                      # mimicking intensity at z
-    cm = np.empty(shape)                     # running sum C at the leg's unit
-    m = np.full(shape, _DEAD, dtype=np.int64)
-    off = slot * ring_len
-    started = 0
 
     def open_segment(r):
         # a segment runs from the last arrival to the next one or the horizon:
         # n_full whole units, then a partial unit of length frac
-        seg_end[r] = np.minimum(arr[r], horizon)
-        length = seg_end[r] - anchor[r]
+        pool.seg_end[r] = np.minimum(pool.arr[r], horizon)
+        length = pool.seg_end[r] - pool.anchor[r]
         units = np.floor(length / du)
         frac = np.maximum(length - units * du, 0.0)
-        n_full[r] = units
-        n_end[r] = units + (frac > 0.0)
-        sfrac[r] = np.sqrt(frac)
+        pool.n_full[r] = units
+        pool.n_end[r] = units + (frac > 0.0)
+        pool.sfrac[r] = np.sqrt(frac)
 
     def admit(free):
-        nonlocal started
-        r, q = _queued(free, started, total)
-        started += r.size
-        path[r] = q
-        kind, j, drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
+        r, q = pool.take(free)
+        kind, j, pool.drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
         for i, k, jj in zip(r, kind, j):
-            gens_n[i] = _gen(seed, tag[k], int(jj), 0)
-            gens_e[i] = _gen(seed, tag[k], int(jj), 1)
-            ring[slot[i], 0] = 0.0
-            ring[slot[i], 1:chunk] = np.cumsum(gens_n[i].standard_normal(chunk - 1))
-            echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
-        filled[r] = chunk; base[r] = 0; epos[r] = 1
-        anchor[r] = 0.0; arr[r] = echunk[slot[r], 0]
+            pool.gens_n[i] = _gen(seed, tag[k], int(jj), 0)
+            pool.gens_e[i] = _gen(seed, tag[k], int(jj), 1)
+            ring[pool.slot[i], 0] = 0.0
+            ring[pool.slot[i], 1:chunk] = np.cumsum(pool.gens_n[i].standard_normal(chunk - 1))
+        pool.filled[r] = chunk; pool.base[r] = 0; pool.epos[r] = _CHUNK_E
+        pool.anchor[r] = 0.0
+        _next_arrivals(pool, r, 0.0, echunk, exp_scale)
         open_segment(r)
-        z[:, r] = z0; d1[:, r] = 1.0; d2[:, r] = 1.0; pay[:, r] = 0.0; m[:, r] = 0
-        cm[:, r] = 0.0
-        a[:, r] = interp(z[:, r])
+        pool.z[:, r] = z0; pool.d1[:, r] = 1.0; pool.d2[:, r] = 1.0; pool.pay[:, r] = 0.0
+        pool.m[:, r] = 0; pool.cm[:, r] = 0.0
+        pool.a[:, r] = interp(pool.z[:, r])
 
     def finish(mask, T, stopped):
         leg, col = np.nonzero(mask)
-        kind, j = np.divmod(path[col], n_paths)
-        out[kind, leg, j] = np.stack([T, stopped, pay[mask], d1[mask], d2[mask]], axis=-1)
-        m[mask] = _DEAD
+        kind, j = np.divmod(pool.path[col], n_paths)
+        out[kind, leg, j] = np.stack([T, stopped, pool.pay[mask], pool.d1[mask],
+                                      pool.d2[mask]], axis=-1)
+        pool.m[mask] = _DEAD
 
     def step(legs, consts, go):
         """Step the legs picked by legs (both, or the fine one) where go.
@@ -402,7 +429,8 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         """
         (k_out, k_in), (sk_out, sk_in), (h_out, h_in), (e1_out, e1_in), \
             (em1_out, em1_in), (e2_out, e2_in) = consts
-        zl = z[legs]; ml = m[legs]; c0 = cm[legs]
+        base, off, anchor, seg_end = pool.base, pool.off, pool.anchor, pool.seg_end
+        zl = pool.z[legs]; ml = pool.m[legs]; c0 = pool.cm[legs]
         in_band = (band_lo < zl) & (zl < band_hi)
         k = np.where(in_band, k_in, k_out)
         c1 = flat[off + ((base + ml + k) & wrap)]
@@ -413,16 +441,16 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         e2 = np.where(in_band, e2_in, e2_out)
         # the step that reaches the arrival or the horizon runs to the
         # segment's end: its whole units, plus the partial unit
-        last = go & (ml + k >= n_end)
+        last = go & (ml + k >= pool.n_end)
         if last.any():
             idx = np.nonzero(last)
             col = idx[-1]
             hl = np.maximum(seg_end[col] - (anchor[col] + ml[idx] * du), 0.0)
-            pe = base[col] + n_full[col]
+            pe = base[col] + pool.n_full[col]
             c1l = flat[off[col] + (pe & wrap)]
             c2l = flat[off[col] + ((pe + 1) & wrap)]
             shl = np.sqrt(hl)
-            xi[idx] = ((math.sqrt(du) * (c1l - c0[idx]) + sfrac[col] * (c2l - c1l))
+            xi[idx] = ((math.sqrt(du) * (c1l - c0[idx]) + pool.sfrac[col] * (c2l - c1l))
                        / np.where(shl > 0.0, shl, 1.0))
             c1[idx] = c2l                    # the next segment starts here
             h[idx] = hl
@@ -430,45 +458,46 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
                 e1[idx] = np.exp(-r1 * hl)
                 em1[idx] = -np.expm1(-r1 * hl)
                 e2[idx] = np.exp(-r2 * hl)
-        new = _advance(zl, a[legs], pay[legs], d1[legs], d2[legs], h, xi, e1, em1, e2,
-                       drift_c, psi, u, c, interp)
-        for x, x_new in zip((zl, a[legs], pay[legs], d1[legs], d2[legs], c0), (*new, c1)):
+        state = (zl, pool.a[legs], pool.pay[legs], pool.d1[legs], pool.d2[legs])
+        new = _advance(*state, h, xi, e1, em1, e2, pool.drift_c, psi, u, c, interp)
+        for x, x_new in zip((*state, c0), (*new, c1)):
             np.copyto(x, x_new, where=go)
         np.add(ml, k, out=ml, where=go)
         return last
 
     admit(np.arange(n))
-    while path.size:
+    while pool.path.size:
         changed = False
-        act = m < n_end
-        frozen = act & (np.abs(z) >= z_cap)
+        m = pool.m
+        act = m < pool.n_end
+        frozen = act & (np.abs(pool.z) >= z_cap)
         if frozen.any():
-            t = anchor + m * du
-            finish(frozen, *_close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star,
-                                          r1, r2, u, c, horizon))
+            t = pool.anchor + m * du
+            finish(frozen, *_close_frozen(frozen, pool.z, pool.a, t, pool.arr, pool.pay,
+                                          pool.d1, pool.d2, z_star, r1, r2, u, c, horizon))
             act &= ~frozen
             changed = True
 
         # keep the units of two steps past the lagging leg in the window
         lag = np.minimum(m[0], m[1])
-        need = (lag < n_end) & (base + lag + (2 * kmax + 1) >= filled)
+        need = (lag < pool.n_end) & (pool.base + lag + (2 * kmax + 1) >= pool.filled)
         if need.any():
             for i in np.nonzero(need)[0]:
-                q = filled[i] & wrap
-                row = ring[slot[i]]
-                row[q:q + chunk] = row[q - 1] + np.cumsum(gens_n[i].standard_normal(chunk))
-                filled[i] += chunk
+                q = pool.filled[i] & wrap
+                row = ring[pool.slot[i]]
+                row[q:q + chunk] = row[q - 1] + np.cumsum(pool.gens_n[i].standard_normal(chunk))
+                pool.filled[i] += chunk
 
         # joint step of the legs level with or behind their partner, then
         # the fine leg's catch-up where it is still behind and not frozen
         hit = step(slice(None), joint, act & (m <= m[::-1]))
-        hit[1] |= step(1, fine, (m[1] < n_end) & (m[1] < m[0]) & (np.abs(z[1]) < z_cap))
+        hit[1] |= step(1, fine, (m[1] < pool.n_end) & (m[1] < m[0]) & (np.abs(pool.z[1]) < z_cap))
         if hit.any():
-            at_arr = arr <= horizon
-            stop = hit & at_arr & (z >= z_star)
+            at_arr = pool.arr <= horizon
+            stop = hit & at_arr & (pool.z >= z_star)
             done = stop | (hit & ~at_arr)
             if done.any():
-                finish(done, np.broadcast_to(seg_end, z.shape)[done],
+                finish(done, np.broadcast_to(pool.seg_end, m.shape)[done],
                        np.where(stop, 1.0, 0.0)[done])
             changed = True
         if not changed:
@@ -476,38 +505,20 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
 
         # open the next segment once every live leg of a path waits at its end
         lag = np.minimum(m[0], m[1])
-        ready = (lag >= n_end) & (lag < _DEAD)
+        ready = (lag >= pool.n_end) & (lag < _DEAD)
         if ready.any():
             r = np.nonzero(ready)[0]
-            base[r] += n_full[r] + 1        # whole units plus the partial-unit draw
-            for i in r[epos[r] >= _CHUNK_E]:
-                echunk[slot[i]] = gens_e[i].exponential(scale=exp_scale, size=_CHUNK_E)
-                epos[i] = 0
-            anchor[r] = arr[r]
-            arr[r] = anchor[r] + echunk[slot[r], epos[r]]
-            epos[r] += 1
+            pool.base[r] += pool.n_full[r] + 1     # whole units plus the partial-unit draw
+            pool.anchor[r] = pool.arr[r]
+            _next_arrivals(pool, r, pool.anchor[r], echunk, exp_scale)
             open_segment(r)
             m[:, r] = np.where(m[:, r] < _DEAD, 0, _DEAD)
-
-        # refill finished paths' rows from the queue; once it is empty, drop
-        # them when they make up half the pool (the draw buffers stay in place)
-        live = lag < _DEAD
-        if started < total:
-            if not live.all():
-                admit(np.nonzero(~live)[0])
-        elif 2 * np.count_nonzero(live) <= live.size:
-            keep = np.nonzero(live)[0]
-            (path, slot, off, drift_c, gens_n, gens_e, filled, base, epos, anchor, arr,
-             seg_end, n_full, n_end, sfrac) = (x[keep] for x in (
-                 path, slot, off, drift_c, gens_n, gens_e, filled, base, epos, anchor, arr,
-                 seg_end, n_full, n_end, sfrac))
-            z, a, cm, d1, d2, pay, m = (x[:, keep] for x in (z, a, cm, d1, d2, pay, m))
-
+        pool.settle(lag < _DEAD, admit)
     return out
 
 
 def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
-             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch=4096):
+             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch):
     """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 T}, low-mimic integral).
 
     At most batch paths are in flight at once.
@@ -517,33 +528,29 @@ def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
     interp = _lookup(a_tab, z_lo, inv_dz)
     out = np.empty((n_paths, 4))
 
-    n = min(batch, n_paths)
-    path = np.zeros(n, dtype=np.int64)       # path held by each row
-    slot = np.arange(n)                      # row of the draw buffer it reads
-    alive = np.zeros(n, dtype=bool)
-    gens_n = np.empty(n, dtype=object)
-    t = np.empty(n); z = np.empty(n); d1 = np.empty(n); low = np.empty(n)
-    nchunk = np.empty((n, _CHUNK_N)); npos = np.empty(n, dtype=np.int64)
-    started = 0
+    pool = _Pool(n_paths, batch)
+    pool.hold("t z d1 low")
+    pool.hold("alive", bool)
+    pool.hold("npos", np.int64)
+    pool.hold("gens_n", object)
+    nchunk = np.empty((pool.slot.size, _CHUNK_N))
 
     def admit(free):
-        nonlocal started
-        r, j = _queued(free, started, n_paths)
-        started += r.size
-        path[r] = j
-        for i in r:
-            gens_n[i] = _gen(seed, tag, int(path[i]), 0)
-            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
-        t[r] = 0.0; z[r] = z0; d1[r] = 1.0; low[r] = 0.0; npos[r] = 0
-        alive[r] = True
+        r, j = pool.take(free)
+        for i, jj in zip(r, j):
+            pool.gens_n[i] = _gen(seed, tag, int(jj), 0)
+        pool.t[r] = 0.0; pool.z[r] = z0; pool.d1[r] = 1.0; pool.low[r] = 0.0
+        pool.npos[r] = _CHUNK_N
+        pool.alive[r] = True
 
     def finish(mask, T, exited):
-        j = path[mask]
-        out[j, 0] = T; out[j, 1] = exited; out[j, 2] = d1[mask]; out[j, 3] = low[mask]
-        alive[mask] = False
+        j = pool.path[mask]
+        out[j, 0] = T; out[j, 1] = exited; out[j, 2] = pool.d1[mask]; out[j, 3] = pool.low[mask]
+        pool.alive[mask] = False
 
-    admit(np.arange(n))
-    while alive.any():
+    admit(np.arange(pool.slot.size))
+    while pool.alive.any():
+        alive, t, z, d1, low = pool.alive, pool.t, pool.z, pool.d1, pool.low
         exit_now = alive & ((z <= z_int_lo) | (z >= z_int_hi))
         if exit_now.any():
             finish(exit_now, t[exit_now], 1.0)
@@ -560,11 +567,7 @@ def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
         with np.errstate(under="ignore", over="ignore"):
             e1 = np.where(full, e1dt, np.exp(-r1 * h))
             em1 = np.where(full, em1dt, -np.expm1(-r1 * h))
-        spent = npos >= _CHUNK_N
-        for i in np.nonzero(spent & alive)[0]:
-            nchunk[slot[i]] = gens_n[i].standard_normal(_CHUNK_N)
-        npos[spent] = 0
-        nrm = nchunk[slot, npos]; npos += 1
+        nrm = _normals(pool, nchunk)
         a = interp(z)
         z_new = _milstein(z, a, h, nrm, drift_c, psi, interp)
         gain = np.where(a <= a_thresh, d1 * em1, 0.0)
@@ -572,16 +575,5 @@ def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
         np.copyto(z, z_new, where=alive)
         np.copyto(d1, d1 * e1, where=alive)
         np.copyto(t, t + h, where=alive)
-
-        # refill finished rows from the queue; once it is empty, drop
-        # finished rows when they make up half the pool (the draw buffer
-        # stays in place)
-        live = np.count_nonzero(alive)
-        if started < n_paths:
-            if live < alive.size:
-                admit(np.nonzero(~alive)[0])
-        elif 2 * live <= alive.size:
-            keep = np.nonzero(alive)[0]
-            path, slot, alive, gens_n, t, z, d1, low, npos = (
-                x[keep] for x in (path, slot, alive, gens_n, t, z, d1, low, npos))
+        pool.settle(alive, admit)
     return out

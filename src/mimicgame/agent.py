@@ -164,7 +164,7 @@ def mixing_boundary_map_minus(x, params: GameParams):
     """Intensity the left mixing branch reaches at the cutoff when v* = x.
 
     Strictly decreasing on [v_R, v_L], zero at v_L. Values can round to
-    1.0 at extreme psi; log_one_minus_map_minus keeps full resolution.
+    1.0 at extreme psi; _Maps.log_one_minus_minus keeps full resolution.
     """
     maps = _Maps(params)
     _check_map_domain(x, maps.v_r, maps.v_l)
@@ -177,22 +177,6 @@ def mixing_boundary_map_plus(x, params: GameParams):
     maps = _Maps(params)
     _check_map_domain(x, maps.v_r, maps.v_l)
     out = -np.expm1(maps.log_one_minus_plus(x))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def log_one_minus_map_minus(x, params: GameParams):
-    """log(1 - a_-(x)); exact even where the intensity rounds to 1."""
-    maps = _Maps(params)
-    _check_map_domain(x, maps.v_r, maps.v_l)
-    out = maps.log_one_minus_minus(x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def log_one_minus_map_plus(x, params: GameParams):
-    """log(1 - a_+(x)); exact even where the intensity rounds to 1."""
-    maps = _Maps(params)
-    _check_map_domain(x, maps.v_r, maps.v_l)
-    out = maps.log_one_minus_plus(x)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -251,8 +235,6 @@ class AgentSolution:
     _log_sf_qsr: float
     _q_l: float
     _q_r: float
-    _q_star_l: float
-    _q_star_r: float
     _beta_l: float
     _beta_r: float
     _mag_a: float
@@ -301,12 +283,11 @@ def build_agent_solution(params: GameParams, z_star: float,
             _zl_rel=math.nan, _zr_rel=math.nan, _log_t1=math.nan,
             _log_den_l=math.nan, _log_den_r=math.nan,
             _log_sf_ql=math.nan, _log_sf_qsr=math.nan,
-            _q_l=math.nan, _q_r=math.nan, _q_star_l=math.nan, _q_star_r=math.nan,
+            _q_l=math.nan, _q_r=math.nan,
             _beta_l=math.nan, _beta_r=math.nan, _mag_a=-xi_r * coef, _mag_b=xi_l * coef)
 
     v_star = solve_v_star(params, num)
     maps = _Maps(params)
-    q_star_l = (v_star - u) / maps.sqrt_kl
     q_star_r = (v_star - m) / maps.sqrt_kr
     log_t1 = maps.log_t1
     log_den_l = float(maps.log_den_minus(v_star))
@@ -326,7 +307,7 @@ def build_agent_solution(params: GameParams, z_star: float,
         _zl_rel=zl_rel, _zr_rel=zr_rel, _log_t1=log_t1,
         _log_den_l=log_den_l, _log_den_r=log_den_r,
         _log_sf_ql=log_sf_ql, _log_sf_qsr=log_sf_qsr,
-        _q_l=maps.q_l, _q_r=maps.q_r, _q_star_l=q_star_l, _q_star_r=q_star_r,
+        _q_l=maps.q_l, _q_r=maps.q_r,
         _beta_l=maps.beta_l, _beta_r=maps.beta_r, _mag_a=mag_a, _mag_b=mag_b)
 
 

@@ -10,12 +10,13 @@ patience ladders and tabulate the trends the limit results predict.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import REGIME_HUMP, eval_agent, solve_r_star
+# solve_r_star is no longer called here, but perfbench traces the calls
+# made through analysis.solve_r_star, so the name stays
+from .agent import REGIME_HUMP, eval_agent, solve_r_star  # noqa: F401
 from .model import GameParams, Numerics, benchmark_values, inv_logit, logit, myopic_cutoffs, termination_payoff
 from .principal import BracketError, ConvergenceError, Equilibrium, solve_equilibrium
 
@@ -49,7 +50,6 @@ class SweepRow:
     sup_dist_stop_value: float = math.nan   # patience rows: sup |W - max(0, R)|
     v_below: float = math.nan        # patience rows: agent value below p**
     v_above: float = math.nan        # patience rows: agent value above p**
-    runtime_s: float = math.nan
     error: str | None = None
     warning: str | None = None
 
@@ -102,15 +102,12 @@ def classify_ep_shape(eq: Equilibrium, num: Numerics = Numerics()) -> EpShape:
 
 
 def _solved_row(param_name, value, params, probe_p, grid_n, num):
-    t0 = time.perf_counter()
     eq = solve_equilibrium(params, grid_n=grid_n, num=num)
-    runtime = time.perf_counter() - t0
     w_probe = float(eq.W.at(probe_p))
     w_under, w_over = benchmark_values(probe_p, params)
     return eq, SweepRow(param=param_name, value=value, p_star=eq.p_star,
                         w_probe=w_probe, a_at_pstar=eq.agent.a_peak,
-                        gap_under=w_probe - w_under, gap_over=w_over - w_probe,
-                        runtime_s=runtime)
+                        gap_under=w_probe - w_under, gap_over=w_over - w_probe)
 
 
 def sweep_psi(params: GameParams, psi_list, probe_p: float = 0.3,
@@ -155,9 +152,7 @@ def sweep_patience(params: GameParams, scale_list, chi: float = 1.0,
         pars = params.with_(r1=s * params.r1, r2=chi * s * params.r1)
         n_s = int(base_grid / math.sqrt(s)) | 1
         try:
-            t0 = time.perf_counter()
             eq = solve_equilibrium(pars, grid_n=n_s, num=num)
-            runtime = time.perf_counter() - t0
             pg = eq.W.states
             stop_value = np.maximum(0.0, termination_payoff(pg, pars))
             sup_dist = float(np.max(np.abs(eq.W.values - stop_value)))
@@ -173,31 +168,20 @@ def sweep_patience(params: GameParams, scale_list, chi: float = 1.0,
                                  gap_under=w_probe - wu, gap_over=wo - w_probe,
                                  sup_dist_stop_value=sup_dist,
                                  v_below=float(v_below), v_above=float(v_above),
-                                 runtime_s=runtime, warning=warn))
+                                 warning=warn))
         except _SOLVER_ERRORS as exc:
             rows.append(SweepRow(param="scale", value=float(s),
                                  error=f"{type(exc).__name__}: {exc}"))
     return rows
 
 
-def lambda_one(params: GameParams, num: Numerics = Numerics()) -> float:
-    """Opportunity rate at which the critical discount rate equals psi^2."""
-    target = params.psi**2
+def lambda_one(params: GameParams) -> float:
+    """Opportunity rate at which the critical discount rate equals psi^2.
 
-    def f(lam):
-        return solve_r_star(params.with_(lam=lam), num) - target
-
-    lo, hi = 1e-12, 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("no opportunity rate reaches the critical level")
-    for _ in range(num.root_maxit):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    At r = psi^2 the r* equation (see solve_r_star) reads
+    psi^2 (3 + sqrt(9 + 8 lam/psi^2)) = 4 lam u/c, whose only positive root
+    is psi^2 c (c + 3u) / (2 u^2). r* rises in lam, so it exceeds psi^2
+    exactly above this rate.
+    """
+    u, c = params.u, params.c
+    return params.psi**2 * c * (c + 3.0 * u) / (2.0 * u * u)

@@ -1,6 +1,5 @@
 """Game primitives, elementary transforms, and benchmark value functions."""
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,28 +71,6 @@ def inv_logit(z):
     out = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """A belief carried in both probability and logit coordinates."""
-
-    p: float
-    z: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError("p must lie strictly inside (0, 1)")
-        if not math.isclose(self.p, inv_logit(self.z), rel_tol=1e-12):
-            raise ValueError("p and z disagree through the logit bijection")
-
-    @classmethod
-    def from_p(cls, p: float) -> "BeliefState":
-        return cls(p=float(p), z=logit(p))
-
-    @classmethod
-    def from_z(cls, z: float) -> "BeliefState":
-        return cls(p=inv_logit(z), z=float(z))
 
 
 def termination_payoff(p, params: GameParams):

@@ -24,6 +24,9 @@ TYPE_NONINVESTIBLE = "NI"
 TYPE_INVESTIBLE = "I"
 
 _TAG_NI, _TAG_I, _TAG_DIAG = 0, 1, 2
+# step shrink factor inside the mixing band; ROADMAP Direction 5 tabulates
+# the agent's bias per halving at 1, 2 and 4
+_BAND_REFINE = 4
 _BOTH = (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE)
 
 
@@ -40,7 +43,6 @@ class SimConfig:
     t_probe: float = 1.0
     batch: int = 4096                # paths in flight at most, over both types; results
                                      # do not depend on it
-    band_refine: int = 4             # step shrink factor inside the mixing band
 
     def resolve(self, params: GameParams) -> "SimConfig":
         dt = self.dt if self.dt is not None else 0.01 / max(1.0, params.psi**2)
@@ -62,7 +64,7 @@ class SimConfig:
             raise ValueError("dt too coarse: need dt <= 0.01 / max(1, psi^2)")
         if self.z_cap < 12.0:
             raise ValueError("z_cap must be at least 12")
-        for name in ("n_paths", "batch", "band_refine"):
+        for name in ("n_paths", "batch"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
@@ -186,7 +188,7 @@ def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics):
     a_tab, z_lo, inv_dz = _policy_table(eq, cfg, num)
     if eq.agent.regime == "hump-shaped":
         band_lo, band_hi = eq.agent.z_L - 0.3, eq.agent.z_R + 0.3
-        refine = cfg.band_refine
+        refine = _BAND_REFINE
     else:
         band_lo, band_hi, refine = np.inf, -np.inf, 1
     ni = [t == TYPE_NONINVESTIBLE for t in agent_types]
@@ -274,13 +276,14 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     Independent runs at the two step sizes differ by sampling noise of the
     order of their standard errors, which hides any discretisation bias
     smaller than that. Here each path index drives both step sizes with one
-    Brownian path: unit normals on a grid of dt/(2 band_refine), restarted
-    at every opportunity arrival, each step summing the units it spans, plus
-    one draw for the partial unit before an arrival or the horizon. Arrival
-    times come from the same exponential stream as estimate_values. The
-    two legs then stay within a small distance of each other path by path,
-    and the standard error of the paired difference V(dt) - V(dt/2)
-    measures the bias itself rather than the spread of the payoffs.
+    Brownian path: unit normals on the grid of the fine leg's in-band step,
+    restarted at every opportunity arrival, each step summing the units it
+    spans, plus one draw for the partial unit before an arrival or the
+    horizon. Arrival times come from the same exponential stream as
+    estimate_values. The two legs then stay within a small distance of each
+    other path by path, and the standard error of the paired difference
+    V(dt) - V(dt/2) measures the bias itself rather than the spread of the
+    payoffs.
 
     Both legs advance through the same step function as estimate_values,
     so the check covers the scheme that produces the reported values.

@@ -18,10 +18,9 @@ from mimicgame.agent import (
     REGIME_SEPARATING,
     AgentSolution,
     SeparatingRegimeError,
+    _Maps,
     eval_agent_derivs,
     hjb_residual,
-    log_one_minus_map_minus,
-    log_one_minus_map_plus,
     raw_coefficients,
 )
 from mimicgame.model import GameParams, inv_logit, logit
@@ -146,13 +145,14 @@ def test_boundary_maps_domain_error():
 def test_boundary_maps_large_psi_stress():
     # log-domain evaluation against the 50-digit oracle; no overflow/underflow
     pars = FIG.with_(psi=50.0)
+    maps = _Maps(pars)
     v_l, v_r, _, _ = mg.boundary_values(pars)
     for frac, ref in STRESS_LOG1M_MINUS.items():
         x = v_r + frac * (v_l - v_r)
-        assert log_one_minus_map_minus(x, pars) == pytest.approx(ref, rel=1e-12)
+        assert float(maps.log_one_minus_minus(x)) == pytest.approx(ref, rel=1e-12)
     for frac, ref in STRESS_LOG1M_PLUS.items():
         x = v_r + frac * (v_l - v_r)
-        assert log_one_minus_map_plus(x, pars) == pytest.approx(ref, rel=1e-12)
+        assert float(maps.log_one_minus_plus(x)) == pytest.approx(ref, rel=1e-12)
     assert mg.solve_v_star(pars) == pytest.approx(STRESS_V_STAR, abs=1e-10)
 
 

@@ -106,12 +106,15 @@ def test_ep_slope_identity(fig_eq):
 
 
 def test_lambda_one_gate():
-    lam1 = lambda_one(FIG)
-    target = FIG.psi**2
-    assert mg.solve_r_star(FIG.with_(lam=lam1)) == pytest.approx(target, rel=1e-6)
-    for scale in (0.2, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 3.0):
-        above = mg.solve_r_star(FIG.with_(lam=lam1 * scale)) > target
-        assert above == (scale > 1.0)
+    # fig1, a low and a high signal-to-noise ratio, and a high payoff-to-cost ratio
+    for pars in (FIG, FIG.with_(psi=0.3), FIG.with_(u=6.0 * FIG.c),
+                 FIG.with_(psi=20.0, u=0.1)):
+        lam1 = lambda_one(pars)
+        target = pars.psi**2
+        assert mg.solve_r_star(pars.with_(lam=lam1)) == pytest.approx(target, rel=1e-6)
+        for scale in (0.2, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 3.0):
+            above = mg.solve_r_star(pars.with_(lam=lam1 * scale)) > target
+            assert above == (scale > 1.0)
 
 
 def test_sweep_psi_validation():
@@ -129,7 +132,6 @@ def test_sweep_psi_rows_smoke():
         w_under, w_over = benchmark_values(0.3, FIG.with_(psi=r.value))
         assert w_under - 1e-9 < r.w_probe < w_over
         assert r.gap_under >= -1e-9 and r.gap_over >= 0
-        assert np.isfinite(r.runtime_s)
     mid = rows[1]
     eq = mg.solve_equilibrium(FIG, grid_n=1001)
     assert mid.p_star == pytest.approx(eq.p_star, abs=1e-6)

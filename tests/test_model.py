@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicgame.model import (
-    BeliefState,
     GameParams,
     benchmark_values,
     inv_logit,
@@ -33,15 +32,6 @@ def test_logit_roundtrip_to_relative_tolerance():
     p = np.concatenate([np.logspace(-6, -0.31, 400), 1.0 - np.logspace(-6, -0.31, 400)])
     back = inv_logit(logit(p))
     assert np.max(np.abs(back - p) / p) < 1e-12
-
-
-def test_belief_state_consistency():
-    s = BeliefState.from_p(0.565)
-    assert s.z == pytest.approx(np.log(0.565 / 0.435), rel=1e-14)
-    s2 = BeliefState.from_z(s.z)
-    assert s2.p == pytest.approx(0.565, rel=1e-12)
-    with pytest.raises(ValueError):
-        BeliefState(p=0.4, z=0.0)
 
 
 def test_termination_payoff():

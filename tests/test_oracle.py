@@ -85,13 +85,13 @@ def test_rare_opportunity_cross_check():
     assert de.p_star == pytest.approx(eq.p_star, abs=5e-3)
 
 
-def test_multistart_agreement(fig_eq):
+def test_multistart_agreement(fig_dp):
     # three initial conjectures land on the same fixed point: identical
     # cutoffs and value functions (pointwise intensities can differ by the
     # support-edge cell quantization, so the comparison runs on p*, v, w)
     rng = np.random.default_rng(2718)
     runs = []
-    n = discrete_equilibrium(FIG, COARSE).z_grid.size
+    n = fig_dp.z_grid.size
     for k in range(3):
         init = np.clip(rng.uniform(0.0, 0.9, size=n), 0.0, 1.0 - 1e-6)
         runs.append(discrete_equilibrium(FIG, COARSE, init_a=init))

@@ -47,11 +47,8 @@ def test_config_validation(fig_eq):
             SimConfig(p0=0.3, dt=bad).resolve(FIG)
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(p0=0.3, horizon=bad).resolve(FIG)
-    for refine in (0, -3):
-        with pytest.raises(ValueError, match="band_refine"):
-            SimConfig(p0=0.3, band_refine=refine).resolve(FIG)
     # counts must be integers, or they fail deep inside the kernels
-    for name in ("n_paths", "batch", "band_refine"):
+    for name in ("n_paths", "batch"):
         with pytest.raises(ValueError, match=name):
             SimConfig(p0=0.3, **{name: 2.5}).resolve(FIG)
 
