@@ -95,7 +95,7 @@ def test_oracle_check_command(tmp_path, fig_config):
     doc = json.loads((out / "oracle_report.json").read_text())
     assert doc["passed"] is True
     assert doc["gap_p_star"] < 0.02
-    assert doc["agent_sweeps"] > 0 and doc["principal_sweeps"] > 0
+    assert doc["agent_solves"] > 0 and doc["principal_solves"] > 0
 
 
 def test_config_validation_errors(tmp_path):

@@ -10,7 +10,7 @@ import mimicgame
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
     # scipy.optimize and scipy.sparse each add tens of MB and a good part of
-    # a second to start-up; the oracle imports scipy.sparse when it runs
+    # a second to start-up; the package, its oracle included, needs neither
     src = str(Path(mimicgame.__file__).resolve().parents[1])
     code = "import sys, mimicgame; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}

@@ -103,6 +103,22 @@ def test_multistart_agreement(fig_dp):
         assert np.max(np.abs(other.v - runs[0].v)) < 0.01
 
 
+def test_start_independence(fig_dp):
+    # the continuous cutoff leaves no choice of stopping node to the start:
+    # all starts stop first at the same node, and their p* agree
+    n = fig_dp.z_grid.size
+    runs = [fig_dp] + [discrete_equilibrium(FIG, COARSE,
+                                            init_a=np.random.default_rng(k).uniform(0.0, 0.9, n))
+                       for k in (0, 2, 4, 5)]
+
+    def first_stop(de):
+        return int(np.argmax(termination_payoff(de.p_grid, FIG) > de.w))
+
+    assert len({first_stop(de) for de in runs}) == 1
+    p_stars = [de.p_star for de in runs]
+    assert max(p_stars) - min(p_stars) < 1e-3
+
+
 def test_invalid_delta_rejected():
     with pytest.raises(ValueError):
         discrete_equilibrium(FIG, DiscreteGame(delta=1.0))
@@ -116,8 +132,8 @@ def test_init_a_validated():
     flat = discrete_equilibrium(pars, COARSE, init_a=0.0)
     assert flat.p_star == base.p_star
     assert np.array_equal(flat.a, base.a) and np.array_equal(flat.v, base.v)
-    assert (flat.agent_sweeps, flat.principal_sweeps) == (base.agent_sweeps,
-                                                          base.principal_sweeps)
+    assert (flat.agent_solves, flat.principal_solves) == (base.agent_solves,
+                                                          base.principal_solves)
     with pytest.raises(ValueError, match=f"init_a.*{n}"):
         discrete_equilibrium(pars, COARSE, init_a=np.zeros(5))
     with pytest.raises(ValueError, match="init_a"):
@@ -130,18 +146,30 @@ def test_init_a_validated():
         discrete_equilibrium(pars, COARSE, init_a=np.inf)
 
 
-def test_transition_matches_gather_formula():
+def _dense(op):
+    """The banded operator as a dense matrix."""
+    (lo, up), band = op
+    n = band.shape[1]
+    out = np.zeros((n, n))
+    for r in range(lo + up + 1):
+        j = np.arange(max(0, up - r), min(n, n + up - r))
+        out[j + r - up, j] = band[r, j]
+    return out
+
+
+def test_operator_matches_gather_formula():
     rng = np.random.default_rng(11)
     n, dz = 200, 0.05
     z0 = -0.5 * (n - 1) * dz
     x = rng.normal(size=n)
     # targets span past both grid edges, so some rows clamp to the end nodes
-    t_up = rng.uniform(z0 - 1.0, -z0 + 1.0, size=3 * n)
-    t_dn = t_up - rng.uniform(0.0, 0.5, size=3 * n)
-    t_up[0], t_dn[0] = z0 - 3.0, -z0 + 3.0
-    scale = rng.uniform(0.5, 1.0, size=3 * n)
-    op = oracle._transition(t_up, t_dn, scale, z0, dz, n)
-    assert op.shape == (3 * n, n)
+    t_up = rng.uniform(z0 - 1.0, -z0 + 1.0, size=n)
+    t_dn = t_up - rng.uniform(0.0, 0.5, size=n)
+    t_up[0], t_dn[0] = z0 - 3.0, -z0 + 3.0      # one target past each edge
+    t_up[1], t_dn[1] = z0 - 1.0, z0 - 2.0       # all four weights on the first nodes
+    t_up[-1], t_dn[-1] = -z0 + 2.0, -z0 + 1.0   # all four weights on the last nodes
+    op = oracle._operator(t_up, t_dn, z0, dz, n)
+    dense = _dense(op)
 
     def read(t):
         pos = np.clip((t - z0) / dz, 0.0, n - 1.0)
@@ -149,12 +177,16 @@ def test_transition_matches_gather_formula():
         f = pos - i
         return x[i] * (1.0 - f) + x[i + 1] * f
 
-    expect = scale * (0.5 * (read(t_up) + read(t_dn)))
-    assert np.max(np.abs(op @ x - expect)) < 1e-14
+    assert np.max(np.abs(dense @ x - 0.5 * (read(t_up) + read(t_dn)))) < 1e-14
+    assert np.allclose(dense.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
     # a row clamped at both edges puts all its weight on the end nodes
-    row = op[[0], :].toarray()[0]
-    assert row[0] == row[-1] == pytest.approx(0.5 * scale[0])
-    assert row.sum() == pytest.approx(scale[0])
+    assert dense[0, 0] == dense[0, -1] == 0.5
+    assert dense[1, 0] == 1.0 and dense[-1, -1] == 1.0
+    # the solve inverts x = f + s * (P x)
+    s = rng.uniform(0.5, 0.99, size=n)
+    f = rng.normal(size=n)
+    sol = oracle._solve(op, s, f)
+    assert np.max(np.abs(sol - f - s * (dense @ sol))) < 1e-12
 
 
 def _vi_agent_gather(v, iu0, fu0, id0, fd0, iu1, fu1, id1, fd1,
@@ -186,43 +218,60 @@ def _eval_principal_gather(w, iu, fu, idn, fd, stop_prob, reward, g2, tol, maxit
     return -maxit
 
 
-def test_sweeps_match_gather_loops():
-    # same sweep counts and values as the explicit gather loops, on a small grid
-    delta = 2e-2
+def _period_game(delta):
+    """Grid, stop probability and a conjecture of one period of the fig1 game.
+
+    The stop weight is fractional in the cell of a cutoff off the grid.
+    """
     psi, sd = FIG.psi, FIG.psi * np.sqrt(delta)
     dz = min(psi * delta, sd)
     half = int(np.ceil(8.0 / dz))
     n = 2 * half + 1
     z = (np.arange(n) - half) * dz
-    p = inv_logit(z)
-    reward = termination_payoff(p, FIG)
-    stop_prob = -np.expm1(-FIG.lam * delta) * (reward > 0.0)
+    reward = termination_payoff(inv_logit(z), FIG)
+    z_cut = z[np.argmax(reward > 0.0)] + 0.3 * dz
+    stop_prob = -np.expm1(-FIG.lam * delta) * np.clip((z - z_cut) / dz + 0.5, 0.0, 1.0)
     rng = np.random.default_rng(3)
     a_hat = np.clip(0.9 * np.exp(-z**2) + 0.05 * rng.uniform(size=n), 0.0, 0.9)
-    tol, maxit = oracle._TOL_INNER, oracle._VI_MAXIT
+    return z, dz, reward, stop_prob, a_hat
+
+
+def test_solves_are_fixed_points_of_gather_loops():
+    # one sweep of each explicit gather loop leaves the banded solution in place
+    delta = 2e-2
+    psi, sd = FIG.psi, FIG.psi * np.sqrt(delta)
+    z, dz, reward, stop_prob, a_hat = _period_game(delta)
+    n, p = z.size, inv_logit(z)
 
     def gather(t):
         return oracle._gather_weights(t, z[0], dz, n)
 
     stage = oracle._AgentStage(FIG, delta, z, dz)
     surv = 1.0 - stop_prob
-    v_new, v_ref = np.zeros(n), np.zeros(n)
-    it_new = stage.value_iterate(v_new, a_hat, surv)
+    v = stage.value(a_hat, surv)
+    assert stage.solves > 1 and 0 < stage.mimic.sum() < n   # both actions in use
     g1 = np.exp(-FIG.r1 * delta)
     weights = [w for t in stage._targets(a_hat) for w in gather(t)]
-    it_ref = _vi_agent_gather(v_ref, *weights, surv, (1.0 - g1) * (FIG.u + FIG.c),
-                              (1.0 - g1) * FIG.u, g1, tol, maxit)
-    assert it_new == it_ref > 0
-    assert np.max(np.abs(v_new - v_ref)) < 1e-13
+    assert _vi_agent_gather(v.copy(), *weights, surv, (1.0 - g1) * (FIG.u + FIG.c),
+                            (1.0 - g1) * FIG.u, g1, 1e-12, 1) == 1
 
     one_m = 1.0 - a_hat
     drift = psi**2 * one_m**2 * (p - 0.5) * delta
     t_up, t_dn = z + drift + sd * one_m, z + drift - sd * one_m
     g2 = np.exp(-FIG.r2 * delta)
-    w_new, w_ref = np.zeros(n), np.zeros(n)
-    op = oracle._transition(t_up, t_dn, (1.0 - stop_prob) * g2, z[0], dz, n)
-    it_new = oracle._sweep(w_new, op, stop_prob * reward, tol, maxit)
-    it_ref = _eval_principal_gather(w_ref, *gather(t_up), *gather(t_dn), stop_prob,
-                                    reward, g2, tol, maxit)
-    assert it_new == it_ref > 0
-    assert np.max(np.abs(w_new - w_ref)) < 1e-13
+    op = oracle._operator(t_up, t_dn, z[0], dz, n)
+    w = oracle._solve(op, (1.0 - stop_prob) * g2, stop_prob * reward)
+    assert _eval_principal_gather(w.copy(), *gather(t_up), *gather(t_dn), stop_prob,
+                                  reward, g2, 1e-12, 1) == 1
+
+
+def test_inner_caps_raise(monkeypatch):
+    # each inner loop that runs out of solves names its cause
+    monkeypatch.setattr(oracle, "_INNER_MAXIT", 1)
+    with pytest.raises(oracle.OscillationError, match="cutoff still moving"):
+        discrete_equilibrium(FIG, COARSE)
+    delta = 2e-2
+    z, dz, _, stop_prob, a_hat = _period_game(delta)
+    stage = oracle._AgentStage(FIG, delta, z, dz)
+    with pytest.raises(oracle.OscillationError, match="policy iteration still switching"):
+        stage.value(a_hat, 1.0 - stop_prob)
