@@ -1,5 +1,21 @@
 """Path-stepping kernels for the belief simulator.
 
+The kernels step the belief in its Lamperti coordinate X, the integral of
+dz / (psi (1 - a(z))) over the logit belief z, in which it diffuses at unit
+volatility:
+
+    dX = psi/2 (s (1 - a) + a') dt + dW,    a' = da/dz,
+
+with s = +1 for the noninvestible type and -1 for the investible type.
+Each step is Euler at the nominal step dt; at unit volatility the Euler and
+Milstein steps are the same step, so no probe of the volatility is needed
+and no part of the state space needs a shorter step. A table on a uniform X
+grid (built by simulate) holds z, a and a'; a step reads a and a' at its
+end in one lookup with a shared index, and the row carries them into the
+next step's drift and the trapezoidal payoff flow. The cutoff, the
+truncation cap and the diagnostic interval arrive mapped through X; the
+belief is read back through the table's z row only where a run reports it.
+
 Each run steps its paths in one pool of numpy arrays, one row per path in
 flight and at most `batch` rows wide. run_main and run_coupled take both
 agent types in one pool: the queue holds the first type's paths, then the
@@ -16,41 +32,41 @@ index), consumed one normal per diffusion step and one exponential per
 opportunity arrival, so a path's trajectory depends neither on the row it
 runs in, nor on the width of the pool, nor on the types that share it.
 
-Paths freeze once |z| reaches the truncation cap, after which their fate
-is deterministic and closed in one shot. Steps are clipped to the next
-opportunity arrival and to the horizon, so stopping happens exactly at
-arrival times and discounting integrates exactly over each step. The
-diffusion advances by a derivative-free Milstein step (one probe lookup
-of the volatility at the drifted state, no extra draws), and the step
-shrinks by a fixed factor (refine, dt/dt_band) inside the mixing band
-where the coefficients vary: plain Euler at the nominal step leaves an
-O(dt) payoff bias with a large constant there, visible at 1e5 paths.
-Outside the band the coefficients are constant and the step is exact in
-distribution. Each row carries the mimicking intensity at its current
-state, which the previous step's end-of-step lookup already gave, so a
-step makes two table lookups: the probe and the step's end. A full step
-takes its discount factors from constants; only a step cut short by an
-arrival or the horizon evaluates exp.
+Paths freeze once X reaches either end of the table, the images of -z_cap
+and z_cap, after which their fate is deterministic and closed in one shot.
+Steps are clipped to the next opportunity arrival and to the horizon, so
+stopping happens exactly at arrival times and discounting integrates
+exactly over each step. A full step takes its discount factors from
+constants; only a step cut short by an arrival or the horizon evaluates
+exp.
 
-The step-size refinement run (run_coupled) simulates each
-path at dt and at dt/2 on one shared Brownian path. Independent runs at
-the two step sizes differ by sampling noise of the size of their standard
-errors (their payoffs correlate only about 0.7 path by path when they merely
-share streams, because the normals land at different times), which hides a
-bias smaller than that noise. Here the unit normals live on a grid of
-dt/(2 refine), restarted at every opportunity arrival, so each step of
-either leg spans whole units and takes the scaled sum of their normals;
-one extra draw covers the partial unit before an arrival or the horizon.
-Arrival times come from the same exponential stream as the main run. Each
-pass of the loop takes a joint step of every leg that is level with or
-behind its partner, then lets the fine leg, whose step is half the coarse
-one, catch up where it is still behind: from level positions the pair
-covers one coarse step in three leg-steps, none of them discarded. The
-legs so stay within one coarse step of each other, one short window of
-drawn units serves both, and each leg carries the running sum at its
-unit, so a full step reads one new sum. Only the step that ends a segment
-reads the partial unit and evaluates exp. Both legs step through the same
-_advance as the main run.
+The step-size refinement run (run_coupled) simulates each path at dt and
+at dt/2 on one shared Brownian path. Independent runs at the two step
+sizes differ by sampling noise of the size of their standard errors
+(their payoffs correlate only about 0.7 path by path when they merely
+share streams, because the normals land at different times), which hides
+a bias smaller than that noise. Here the unit normals live on a grid of
+dt/2, restarted at every opportunity arrival, so a step of the coarse leg
+spans two units and a step of the fine leg one, and each takes the sum of
+the normals it spans; one extra draw covers the partial unit before an
+arrival or the horizon. Arrival times come from the same exponential
+stream as the main run. Each pass of the loop takes a joint step of every
+leg that is level with or behind its partner, then lets the fine leg
+catch up where it is still behind: from level positions the pair covers
+one coarse step in three leg-steps, none of them discarded. The legs so
+stay within one coarse step of each other, one short window of drawn
+units serves both, and each leg carries the running sum at its unit, so a
+full step reads one new sum. Only the step that ends a segment reads the
+partial unit and evaluates exp. Both legs step through the same _advance
+as the main run.
+
+The learning diagnostic (run_diag) runs the noninvestible type until the
+belief leaves an interval. Between step ends a path may leave and come
+back unseen; at unit volatility the chance of that for a step from X to X'
+over h is exp(-2 (b - X)(b - X') / h) at each barrier b (the Brownian
+bridge; Glasserman 2004, section 6.4). Each path carries the probability
+that it is still inside, and the mass a step loses exits at the step's
+start.
 """
 
 import math
@@ -62,6 +78,10 @@ _CHUNK_N = 2048       # normals drawn per path per refill
 _CHUNK_E = 64         # exponentials drawn per path per refill
 
 _DEAD = 1 << 62        # unit position of a finished leg in the coupled run
+_REACH = 5             # units the coupled run's window must hold past the lagging leg:
+                       # two coarse steps and the partial unit
+_BRIDGE_CUT = 20.0     # a step whose barrier products both exceed this many h crosses
+                       # with chance below 2 exp(-40) < 2^-54, so 1 - q rounds to 1.0
 
 
 def _gen(seed, tag, idx, stream):
@@ -69,63 +89,54 @@ def _gen(seed, tag, idx, stream):
                                          dtype=np.uint64)))
 
 
-def _lookup(a_tab, z_lo, inv_dz):
-    """Policy table lookup, linear between nodes and clamped at both ends.
+def _lookup(tab, span):
+    """Table lookup, linear between nodes and clamped at both ends.
 
-    The slope table ends in a zero, so a point clipped to the last node
-    reads that node's value on the same path as every other point.
+    tab holds one row per quantity over uniform nodes from span[0] to
+    span[1]. A lookup locates the points once and returns every row at
+    them, with shape (rows, *points.shape). The slope table ends in a
+    zero, so a point clipped to the last node reads that node's value on
+    the same path as every other point.
     """
-    top = float(a_tab.size - 1)
-    slope = np.append(np.diff(a_tab), 0.0)
+    top = float(tab.shape[-1] - 1)
+    x_lo, inv_dx = span[0], top / (span[1] - span[0])
+    slope = np.diff(tab, axis=-1, append=tab[..., -1:])
 
-    def interp(zv):
-        pos = zv - z_lo
-        pos *= inv_dz
+    def interp(xv):
+        pos = xv - x_lo
+        pos *= inv_dx
         np.clip(pos, 0.0, top, out=pos)
         node = np.floor(pos)
         i = node.astype(np.intp)
         pos -= node
-        return a_tab.take(i) + slope.take(i) * pos
+        return tab.take(i, axis=-1) + slope.take(i, axis=-1) * pos
 
     return interp
 
 
-def _milstein(z, a, h, xi, drift_c, psi, interp):
-    """Derivative-free Milstein step of length h driven by the standard normal xi.
+def _advance(x, a, ap, pay, d1, d2, h, dw, e1, em1, e2, sgn, half_psi, u, c, interp):
+    """One payoff-accruing Euler step of X from x over h, driven by the Brownian increment dw.
 
-    a is the mimicking intensity at z; returns the new state.
+    a and ap are the intensity and its slope da/dz at x. Returns (x, a, ap,
+    pay, d1, d2) after the step, so the caller carries the policy at the
+    new state into the next step.
     """
-    onema = 1.0 - a
-    sh = np.sqrt(h)
-    mu_h = (drift_c * (onema * onema)) * h
-    sg = psi * onema
-    zm = z + mu_h
-    sg2 = psi * (1.0 - interp(zm + sg * sh))
-    return zm + sg * (sh * xi) + (0.5 * (sg2 - sg)) * (sh * (xi * xi - 1.0))
-
-
-def _advance(z, a, pay, d1, d2, h, xi, e1, em1, e2, drift_c, psi, u, c, interp):
-    """One payoff-accruing step from z, where the intensity is a.
-
-    Returns (z, a, pay, d1, d2) after the step, so the caller carries the
-    intensity at the new state into the next step.
-    """
-    z_new = _milstein(z, a, h, xi, drift_c, psi, interp)
+    x_new = x + (half_psi * (sgn * (1.0 - a) + ap)) * h + dw
+    a_end, ap_end = interp(x_new)
     # trapezoidal intensity along the step keeps the payoff quadrature
     # honest where the policy is steep
-    a_end = interp(z_new)
     flow = u + (1.0 - 0.5 * (a + a_end)) * c
-    return z_new, a_end, pay + flow * (d1 * em1), d1 * e1, d2 * e2
+    return x_new, a_end, ap_end, pay + flow * (d1 * em1), d1 * e1, d2 * e2
 
 
-def _close_frozen(frozen, z, a, t, arr, pay, d1, d2, z_star, r1, r2, u, c, horizon):
+def _close_frozen(frozen, x, a, t, arr, pay, d1, d2, x_star, r1, r2, u, c, horizon):
     """Close the frozen entries in one shot: the belief no longer moves.
 
     Updates pay, d1 and d2 in place and returns (T, stopped) of the frozen
     entries, in the order of frozen.nonzero().
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        will_stop = frozen & (z >= z_star) & (arr < horizon)
+        will_stop = frozen & (x >= x_star) & (arr < horizon)
         T = np.where(will_stop, arr, horizon)
         flow = u + (1.0 - a) * c
         h = np.where(frozen, T - t, 0.0)
@@ -187,11 +198,16 @@ class _Pool:
                 setattr(self, name, getattr(self, name)[..., keep])
 
 
-def _queue_rows(q, n_paths, drift_sign, psi):
-    """Type, path index within the type and drift constant of queue positions q."""
+def _queue_rows(q, n_paths, drift_sign):
+    """Type, path index within the type and drift sign of queue positions q."""
     kind, j = np.divmod(q, n_paths)
-    drift_c = np.array([s * 0.5 * psi * psi for s in drift_sign])[kind]
-    return kind, j, drift_c
+    return kind, j, np.asarray(drift_sign, dtype=float)[kind]
+
+
+def _policy_at(interp, x):
+    """(a, a') at the single point x."""
+    a, ap = interp(np.array([x], dtype=float))[:, 0]
+    return float(a), float(ap)
 
 
 def _next_arrivals(pool, rows, start, echunk, scale):
@@ -222,34 +238,72 @@ def _normals(pool, nchunk):
     return nrm
 
 
-def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
-             t_probe, a_tab, z_lo, inv_dz, n_paths, seed, tag, batch, path_offset,
-             dt_band, band_lo, band_hi):
+def _stepper(dt, r1, r2):
+    """Step lengths clipped at stopping times, with their Brownian scale and discount factors.
+
+    The returned steps(t, stops, live) gives (h, lim, (sqrt(h), e^{-r1 h},
+    1 - e^{-r1 h}, e^{-r2 h})) for steps from t. stops holds the times a
+    step may not pass, the later ones taking precedence where both cut it;
+    lim is 0 for a full step, else the number of the stop that cut it.
+    Full steps take constants; only the live rows' cut steps evaluate sqrt
+    and exp.
+    """
+    funcs = (np.sqrt, lambda h: np.exp(-r1 * h), lambda h: -np.expm1(-r1 * h),
+             lambda h: np.exp(-r2 * h))
+    full = [float(f(dt)) for f in funcs]
+
+    def steps(t, stops, live):
+        h = np.full(t.size, dt)
+        lim = np.zeros(t.size, dtype=np.int8)
+        for k, stop in enumerate(stops, 1):
+            left = stop - t
+            m = left < h
+            h[m] = left[m]
+            lim[m] = k
+        np.maximum(h, 0.0, out=h)
+        consts = [np.full(t.size, x) for x in full]
+        short = np.flatnonzero(live & (lim > 0))
+        if short.size:
+            hs = h[short]
+            with np.errstate(under="ignore", over="ignore"):
+                for x, f in zip(consts, funcs):
+                    x[short] = f(hs)
+        return h, lim, consts
+
+    return steps
+
+
+def run_main(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_cap,
+             t_probe, tab, n_paths, seed, tag, batch, path_offset):
     """Simulate n_paths of each agent type in one pool.
 
     drift_sign and tag hold one entry per type: +1.0 for the noninvestible
     type's upward drift or -1.0 for the investible type's, and the type's
-    Philox tag. Returns shape (types, n_paths, 6), columns (T, stopped, pay,
-    e^{-r1 T}, e^{-r2 T}, z_probe); row j of type k is the path with stream
-    index path_offset + j under tag[k]. At most batch paths are in flight
-    at once, over all types; no result depends on batch or on the types
-    that share the pool.
+    Philox tag. tab holds the rows z, a and a' on uniform X nodes from
+    x_cap[0] to x_cap[1], the ends where paths freeze. Returns shape
+    (types, n_paths, 6), columns (T, stopped, pay, e^{-r1 T}, e^{-r2 T},
+    z_probe), with z_probe read back through the table (so a frozen path
+    reads the cap); row j of type k is the path with stream index
+    path_offset + j under tag[k]. At most batch paths are in flight at
+    once, over all types; no result depends on batch or on the types that
+    share the pool.
     """
     exp_scale = 1.0 / lam
-    e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt); e2dt = math.exp(-r2 * dt)
-    e1db = math.exp(-r1 * dt_band); em1db = -math.expm1(-r1 * dt_band)
-    e2db = math.exp(-r2 * dt_band)
-    interp = _lookup(a_tab, z_lo, inv_dz)
+    half_psi = 0.5 * psi
+    steps = _stepper(dt, r1, r2)
+    interp = _lookup(tab[1:], x_cap)
+    to_z = _lookup(tab[:1], x_cap)
+    a0, ap0 = _policy_at(interp, x0)
     total = len(tag) * n_paths
     out = np.empty((total, 6))
 
     # Rows of finished paths keep stepping on stale state until they are
     # refilled or dropped: their steps shrink to zero at the arrival or the
     # horizon, and nothing reads them but the masks below, which skip them.
-    # drift_c is the row's type's drift constant, a the mimicking intensity
-    # at z, zpr the belief at the probe time once prdone.
+    # sgn is the row's type's drift sign, a and ap the policy at x, xpr the
+    # state at the probe time once prdone.
     pool = _Pool(total, batch)
-    pool.hold("drift_c t z a d1 d2 pay zpr arr")
+    pool.hold("sgn t x a ap d1 d2 pay xpr arr")
     pool.hold("alive prdone", bool)
     pool.hold("epos npos", np.int64)
     pool.hold("gens_n gens_e", object)
@@ -258,12 +312,12 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
 
     def admit(free):
         r, q = pool.take(free)
-        kind, j, pool.drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
+        kind, j, pool.sgn[r] = _queue_rows(q, n_paths, drift_sign)
         for i, k, jj in zip(r, kind, j):
             pool.gens_n[i] = _gen(seed, tag[k], path_offset + int(jj), 0)
             pool.gens_e[i] = _gen(seed, tag[k], path_offset + int(jj), 1)
-        pool.t[r] = 0.0; pool.z[r] = z0; pool.d1[r] = 1.0; pool.d2[r] = 1.0; pool.pay[r] = 0.0
-        pool.a[r] = interp(pool.z[r])
+        pool.t[r] = 0.0; pool.x[r] = x0; pool.d1[r] = 1.0; pool.d2[r] = 1.0; pool.pay[r] = 0.0
+        pool.a[r] = a0; pool.ap[r] = ap0
         pool.prdone[r] = False; pool.npos[r] = _CHUNK_N; pool.epos[r] = _CHUNK_E
         _next_arrivals(pool, r, 0.0, echunk, exp_scale)
         pool.alive[r] = True
@@ -273,52 +327,30 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
         j = pool.path[mask]
         out[j, 0] = T; out[j, 1] = stopped
         out[j, 2] = pool.pay[mask]; out[j, 3] = pool.d1[mask]; out[j, 4] = pool.d2[mask]
-        out[j, 5] = np.where(pool.prdone[mask], pool.zpr[mask], pool.z[mask])
+        out[j, 5] = to_z(np.where(pool.prdone[mask], pool.xpr[mask], pool.x[mask]))[0]
         pool.alive[mask] = False
 
     admit(np.arange(n))
     while pool.alive.any():
         # probe capture at step boundaries
         cap = pool.alive & ~pool.prdone & (pool.t >= t_probe)
-        pool.zpr[cap] = pool.z[cap]; pool.prdone[cap] = True
+        pool.xpr[cap] = pool.x[cap]; pool.prdone[cap] = True
 
-        frozen = pool.alive & (np.abs(pool.z) >= z_cap)
+        frozen = pool.alive & ((pool.x <= x_cap[0]) | (pool.x >= x_cap[1]))
         if frozen.any():
-            finish(frozen, *_close_frozen(frozen, pool.z, pool.a, pool.t, pool.arr, pool.pay,
-                                          pool.d1, pool.d2, z_star, r1, r2, u, c, horizon))
+            finish(frozen, *_close_frozen(frozen, pool.x, pool.a, pool.t, pool.arr, pool.pay,
+                                          pool.d1, pool.d2, x_star, r1, r2, u, c, horizon))
 
-        # full steps take the precomputed factors; only steps cut short by
-        # an arrival or the horizon pay for exp
-        in_band = (band_lo < pool.z) & (pool.z < band_hi)
-        h = np.where(in_band, dt_band, dt)
-        e1 = np.where(in_band, e1db, e1dt)
-        em1 = np.where(in_band, em1db, em1dt)
-        e2 = np.where(in_band, e2db, e2dt)
-        lim = np.zeros(h.size, dtype=np.int8)
-        to_arr = pool.arr - pool.t
-        m1 = to_arr < h
-        h[m1] = to_arr[m1]; lim[m1] = 1
-        to_hz = horizon - pool.t
-        m2 = to_hz < h
-        h[m2] = to_hz[m2]; lim[m2] = 2
-        np.maximum(h, 0.0, out=h)
-        short = np.flatnonzero(pool.alive & (lim > 0))
-        if short.size:
-            hs = h[short]
-            with np.errstate(under="ignore", over="ignore"):
-                e1[short] = np.exp(-r1 * hs)
-                em1[short] = -np.expm1(-r1 * hs)
-                e2[short] = np.exp(-r2 * hs)
-
-        nrm = _normals(pool, nchunk)
-        pool.z, pool.a, pool.pay, pool.d1, pool.d2 = _advance(
-            pool.z, pool.a, pool.pay, pool.d1, pool.d2, h, nrm, e1, em1, e2,
-            pool.drift_c, psi, u, c, interp)
+        h, lim, (sh, e1, em1, e2) = steps(pool.t, (pool.arr, horizon), pool.alive)
+        dw = sh * _normals(pool, nchunk)
+        pool.x, pool.a, pool.ap, pool.pay, pool.d1, pool.d2 = _advance(
+            pool.x, pool.a, pool.ap, pool.pay, pool.d1, pool.d2, h, dw, e1, em1, e2,
+            pool.sgn, half_psi, u, c, interp)
         pool.t = pool.t + h
 
         hit = pool.alive & (lim == 1)
         if hit.any():
-            stop_now = hit & (pool.z >= z_star)
+            stop_now = hit & (pool.x >= x_star)
             finish(stop_now, pool.t[stop_now], 1.0)
             cont = np.flatnonzero(hit & pool.alive)
             if cont.size:
@@ -331,12 +363,12 @@ def run_main(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, z_cap,
     return out.reshape(len(tag), n_paths, 6)
 
 
-def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, horizon,
-                z_cap, a_tab, z_lo, inv_dz, n_paths, seed, tag, band_lo, band_hi, batch):
+def run_coupled(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_cap,
+                tab, n_paths, seed, tag, batch):
     """Simulate n_paths of each agent type at dt and at dt/2 on shared Brownian paths.
 
-    drift_sign and tag hold one entry per type, as in run_main. Returns
-    shape (types, 2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns (T,
+    drift_sign, tag, tab and x_cap are as in run_main. Returns shape
+    (types, 2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns (T,
     stopped, pay, e^{-r1 T}, e^{-r2 T}). Each pass of the loop takes a
     joint step of every leg that is level with or behind its partner, then
     a catch-up step of the fine leg where it is still behind. At most batch
@@ -344,25 +376,27 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
     batch or on the types that share the pool.
     """
     exp_scale = 1.0 / lam
-    # leg 0 steps at dt (dt/refine in the band), leg 1 at dt/2 (dt/(2 refine));
-    # every step spans a whole number of units of length du. Per leg (row)
-    # and side of the band (column: outside, inside): units per step, their
-    # square root, step length and discount factors over a full step
-    du = dt / (2 * refine)
-    k_tab = np.array([[2 * refine, 2], [refine, 1]])
-    h_tab = np.array([[dt, dt / refine], [dt / 2, dt / 2 / refine]])
+    half_psi = 0.5 * psi
+    # leg 0 steps at dt, leg 1 at dt/2, each a whole number of units of
+    # length du. Per leg (row): units per step, step length and discount
+    # factors over a full step
+    du = 0.5 * dt
+    sq_du = math.sqrt(du)
+    h_leg = np.array([[dt], [du]])
     with np.errstate(under="ignore"):
-        tabs = (k_tab, np.sqrt(k_tab), h_tab, np.exp(-r1 * h_tab), -np.expm1(-r1 * h_tab),
-                np.exp(-r2 * h_tab))
-    joint = [(x[:, :1], x[:, 1:]) for x in tabs]
-    fine = [(x[1, 0], x[1, 1]) for x in tabs]
-    kmax = 2 * refine
-    # the window of drawn units must cover two steps of either leg past the
-    # lagging one; a power of two so that ring positions are a bit mask
-    chunk = max(_CHUNK_N, 1 << (2 * kmax + 1).bit_length())
-    ring_len = 2 * chunk
+        joint = (np.array([[2], [1]]), h_leg, np.exp(-r1 * h_leg), -np.expm1(-r1 * h_leg),
+                 np.exp(-r2 * h_leg))
+    fine = tuple(x[1, 0] for x in joint)
+    # ring positions are a bit mask, so its length is a power of two. A
+    # refill comes once the lagging leg is within _REACH units of the last
+    # drawn unit, and its chunk units must not overwrite the units from the
+    # lagging leg on: chunk + _REACH + 1 <= ring_len
+    ring_len = _CHUNK_N
     wrap = ring_len - 1
-    interp = _lookup(a_tab, z_lo, inv_dz)
+    chunk = ring_len - 2 * _REACH
+    fill = np.arange(chunk)
+    interp = _lookup(tab[1:], x_cap)
+    a0, ap0 = _policy_at(interp, x0)
     total = len(tag) * n_paths
     out = np.empty((len(tag), 2, n_paths, 5))
 
@@ -373,14 +407,14 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
     # base, base + 1, ... Differencing running sums costs only rounding at
     # their scale, far below what the check resolves.
     pool = _Pool(total, batch)
-    pool.hold("drift_c anchor arr seg_end sfrac")
+    pool.hold("sgn anchor arr seg_end sfrac")
     pool.hold("off filled base epos n_full n_end", np.int64)
     pool.hold("gens_n gens_e", object)
     # Per leg and path: m counts the units walked in the current segment;
     # a leg with m >= n_end waits at the segment's end, and m == _DEAD marks
-    # a finished leg, whose outcome is already in out. a is the mimicking
-    # intensity at z, cm the running sum C at the leg's unit.
-    pool.hold("z a cm d1 d2 pay", legs=2)
+    # a finished leg, whose outcome is already in out. a and ap are the
+    # policy at x, cm the running sum C at the leg's unit.
+    pool.hold("x a ap cm d1 d2 pay", legs=2)
     pool.hold("m", np.int64, legs=2)
     n = pool.slot.size
     pool.off[:] = pool.slot * ring_len
@@ -401,7 +435,7 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
 
     def admit(free):
         r, q = pool.take(free)
-        kind, j, pool.drift_c[r] = _queue_rows(q, n_paths, drift_sign, psi)
+        kind, j, pool.sgn[r] = _queue_rows(q, n_paths, drift_sign)
         for i, k, jj in zip(r, kind, j):
             pool.gens_n[i] = _gen(seed, tag[k], int(jj), 0)
             pool.gens_e[i] = _gen(seed, tag[k], int(jj), 1)
@@ -411,9 +445,9 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         pool.anchor[r] = 0.0
         _next_arrivals(pool, r, 0.0, echunk, exp_scale)
         open_segment(r)
-        pool.z[:, r] = z0; pool.d1[:, r] = 1.0; pool.d2[:, r] = 1.0; pool.pay[:, r] = 0.0
+        pool.x[:, r] = x0; pool.d1[:, r] = 1.0; pool.d2[:, r] = 1.0; pool.pay[:, r] = 0.0
+        pool.a[:, r] = a0; pool.ap[:, r] = ap0
         pool.m[:, r] = 0; pool.cm[:, r] = 0.0
-        pool.a[:, r] = interp(pool.z[:, r])
 
     def finish(mask, T, stopped):
         leg, col = np.nonzero(mask)
@@ -427,18 +461,12 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
 
         Returns the mask of the steps that end the segment.
         """
-        (k_out, k_in), (sk_out, sk_in), (h_out, h_in), (e1_out, e1_in), \
-            (em1_out, em1_in), (e2_out, e2_in) = consts
+        k, h_full, e1_full, em1_full, e2_full = consts
         base, off, anchor, seg_end = pool.base, pool.off, pool.anchor, pool.seg_end
-        zl = pool.z[legs]; ml = pool.m[legs]; c0 = pool.cm[legs]
-        in_band = (band_lo < zl) & (zl < band_hi)
-        k = np.where(in_band, k_in, k_out)
+        ml = pool.m[legs]; c0 = pool.cm[legs]
         c1 = flat[off + ((base + ml + k) & wrap)]
-        xi = (c1 - c0) / np.where(in_band, sk_in, sk_out)
-        h = np.where(in_band, h_in, h_out)
-        e1 = np.where(in_band, e1_in, e1_out)
-        em1 = np.where(in_band, em1_in, em1_out)
-        e2 = np.where(in_band, e2_in, e2_out)
+        dw = sq_du * (c1 - c0)
+        h, e1, em1, e2 = (np.full(ml.shape, x) for x in (h_full, e1_full, em1_full, e2_full))
         # the step that reaches the arrival or the horizon runs to the
         # segment's end: its whole units, plus the partial unit
         last = go & (ml + k >= pool.n_end)
@@ -449,17 +477,16 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
             pe = base[col] + pool.n_full[col]
             c1l = flat[off[col] + (pe & wrap)]
             c2l = flat[off[col] + ((pe + 1) & wrap)]
-            shl = np.sqrt(hl)
-            xi[idx] = ((math.sqrt(du) * (c1l - c0[idx]) + pool.sfrac[col] * (c2l - c1l))
-                       / np.where(shl > 0.0, shl, 1.0))
+            dw[idx] = sq_du * (c1l - c0[idx]) + pool.sfrac[col] * (c2l - c1l)
             c1[idx] = c2l                    # the next segment starts here
             h[idx] = hl
             with np.errstate(under="ignore", over="ignore"):
                 e1[idx] = np.exp(-r1 * hl)
                 em1[idx] = -np.expm1(-r1 * hl)
                 e2[idx] = np.exp(-r2 * hl)
-        state = (zl, pool.a[legs], pool.pay[legs], pool.d1[legs], pool.d2[legs])
-        new = _advance(*state, h, xi, e1, em1, e2, pool.drift_c, psi, u, c, interp)
+        state = (pool.x[legs], pool.a[legs], pool.ap[legs], pool.pay[legs], pool.d1[legs],
+                 pool.d2[legs])
+        new = _advance(*state, h, dw, e1, em1, e2, pool.sgn, half_psi, u, c, interp)
         for x, x_new in zip((*state, c0), (*new, c1)):
             np.copyto(x, x_new, where=go)
         np.add(ml, k, out=ml, where=go)
@@ -470,31 +497,35 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
         changed = False
         m = pool.m
         act = m < pool.n_end
-        frozen = act & (np.abs(pool.z) >= z_cap)
+        inside = (x_cap[0] < pool.x) & (pool.x < x_cap[1])
+        frozen = act & ~inside
         if frozen.any():
             t = pool.anchor + m * du
-            finish(frozen, *_close_frozen(frozen, pool.z, pool.a, t, pool.arr, pool.pay,
-                                          pool.d1, pool.d2, z_star, r1, r2, u, c, horizon))
-            act &= ~frozen
+            finish(frozen, *_close_frozen(frozen, pool.x, pool.a, t, pool.arr, pool.pay,
+                                          pool.d1, pool.d2, x_star, r1, r2, u, c, horizon))
+            act &= inside
             changed = True
 
-        # keep the units of two steps past the lagging leg in the window
+        # keep the units past the lagging leg in the window
         lag = np.minimum(m[0], m[1])
-        need = (lag < pool.n_end) & (pool.base + lag + (2 * kmax + 1) >= pool.filled)
+        need = (lag < pool.n_end) & (pool.base + lag + _REACH >= pool.filled)
         if need.any():
             for i in np.nonzero(need)[0]:
-                q = pool.filled[i] & wrap
+                q = pool.filled[i]
                 row = ring[pool.slot[i]]
-                row[q:q + chunk] = row[q - 1] + np.cumsum(pool.gens_n[i].standard_normal(chunk))
+                row[(q + fill) & wrap] = (row[(q - 1) & wrap]
+                                          + np.cumsum(pool.gens_n[i].standard_normal(chunk)))
                 pool.filled[i] += chunk
 
         # joint step of the legs level with or behind their partner, then
         # the fine leg's catch-up where it is still behind and not frozen
         hit = step(slice(None), joint, act & (m <= m[::-1]))
-        hit[1] |= step(1, fine, (m[1] < pool.n_end) & (m[1] < m[0]) & (np.abs(pool.z[1]) < z_cap))
+        x1 = pool.x[1]
+        hit[1] |= step(1, fine, (m[1] < pool.n_end) & (m[1] < m[0])
+                       & (x_cap[0] < x1) & (x1 < x_cap[1]))
         if hit.any():
             at_arr = pool.arr <= horizon
-            stop = hit & at_arr & (pool.z >= z_star)
+            stop = hit & at_arr & (pool.x >= x_star)
             done = stop | (hit & ~at_arr)
             if done.any():
                 finish(done, np.broadcast_to(pool.seg_end, m.shape)[done],
@@ -517,63 +548,86 @@ def run_coupled(z0, z_star, drift_sign, psi, r1, r2, u, c, lam, dt, refine, hori
     return out
 
 
-def run_diag(z0, z_int_lo, z_int_hi, psi, r1, u, c, a_thresh, dt, horizon,
-             a_tab, z_lo, inv_dz, n_paths, seed, tag, batch):
-    """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 T}, low-mimic integral).
+def run_diag(x0, x_int, psi, r1, a_thresh, dt, horizon, tab, x_cap, n_paths, seed, tag,
+             batch):
+    """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 tau}, low-mimic integral).
 
-    At most batch paths are in flight at once.
+    x_int = (lo, hi) is the interval in X, and tab and x_cap are as in
+    run_main. Each path carries the probability w that it is still
+    inside, which every step multiplies by its Brownian-bridge survival
+    chance; the mass a step loses exits at the step's start. T is the end
+    of the path's run: its first step end outside the interval, or the
+    horizon. exited is the probability that the path left by T, e^{-r1 tau}
+    the expected discount at its exit, the horizon counting as the exit of
+    the mass still inside there, and each step adds its low-mimic gain
+    weighted by the w that survives it. At most batch paths are in flight
+    at once.
     """
-    drift_c = 0.5 * psi * psi
-    e1dt = math.exp(-r1 * dt); em1dt = -math.expm1(-r1 * dt)
-    interp = _lookup(a_tab, z_lo, inv_dz)
+    half_psi = 0.5 * psi
+    lo, hi = x_int
+    steps = _stepper(dt, r1, 0.0)
+    interp = _lookup(tab[1:], x_cap)
+    a0, ap0 = _policy_at(interp, x0)
     out = np.empty((n_paths, 4))
 
+    # w is the chance that the path is still inside, disc the discount
+    # already credited to the mass that left between step ends
     pool = _Pool(n_paths, batch)
-    pool.hold("t z d1 low")
+    pool.hold("t x a ap d1 low w disc")
     pool.hold("alive", bool)
     pool.hold("npos", np.int64)
     pool.hold("gens_n", object)
-    nchunk = np.empty((pool.slot.size, _CHUNK_N))
+    n = pool.slot.size
+    nchunk = np.empty((n, _CHUNK_N))
 
     def admit(free):
         r, j = pool.take(free)
         for i, jj in zip(r, j):
             pool.gens_n[i] = _gen(seed, tag, int(jj), 0)
-        pool.t[r] = 0.0; pool.z[r] = z0; pool.d1[r] = 1.0; pool.low[r] = 0.0
+        pool.t[r] = 0.0; pool.x[r] = x0; pool.a[r] = a0; pool.ap[r] = ap0
+        pool.d1[r] = 1.0; pool.low[r] = 0.0; pool.w[r] = 1.0; pool.disc[r] = 0.0
         pool.npos[r] = _CHUNK_N
         pool.alive[r] = True
 
     def finish(mask, T, exited):
         j = pool.path[mask]
-        out[j, 0] = T; out[j, 1] = exited; out[j, 2] = pool.d1[mask]; out[j, 3] = pool.low[mask]
+        w = pool.w[mask]
+        out[j, 0] = T; out[j, 1] = 1.0 if exited else 1.0 - w
+        out[j, 2] = pool.disc[mask] + w * pool.d1[mask]; out[j, 3] = pool.low[mask]
         pool.alive[mask] = False
 
-    admit(np.arange(pool.slot.size))
+    admit(np.arange(n))
     while pool.alive.any():
-        alive, t, z, d1, low = pool.alive, pool.t, pool.z, pool.d1, pool.low
-        exit_now = alive & ((z <= z_int_lo) | (z >= z_int_hi))
+        alive, t, x = pool.alive, pool.t, pool.x
+        exit_now = alive & ((x <= lo) | (x >= hi))
         if exit_now.any():
-            finish(exit_now, t[exit_now], 1.0)
+            finish(exit_now, t[exit_now], True)
         tz = alive & (t >= horizon)
         if tz.any():
-            finish(tz, horizon, 0.0)
+            finish(tz, horizon, False)
 
-        h = np.full(alive.size, dt)
-        lim = np.zeros(alive.size, dtype=np.int8)
-        m2 = (horizon - t) < h
-        h[m2] = (horizon - t)[m2]; lim[m2] = 2
-        np.maximum(h, 0.0, out=h)
-        full = lim == 0
-        with np.errstate(under="ignore", over="ignore"):
-            e1 = np.where(full, e1dt, np.exp(-r1 * h))
-            em1 = np.where(full, em1dt, -np.expm1(-r1 * h))
-        nrm = _normals(pool, nchunk)
-        a = interp(z)
-        z_new = _milstein(z, a, h, nrm, drift_c, psi, interp)
-        gain = np.where(a <= a_thresh, d1 * em1, 0.0)
-        np.copyto(low, low + gain, where=alive)
-        np.copyto(z, z_new, where=alive)
-        np.copyto(d1, d1 * e1, where=alive)
-        np.copyto(t, t + h, where=alive)
+        h, _, (sh, e1, em1, _) = steps(t, (horizon,), alive)
+        x_new = x + (half_psi * ((1.0 - pool.a) + pool.ap)) * h + sh * _normals(pool, nchunk)
+
+        # Brownian-bridge survival of the steps that end inside; the others
+        # exit at their end. Rows far from both barriers keep 1 - q == 1.0
+        # without evaluating exp.
+        p_hi = (hi - x) * (hi - x_new)
+        p_lo = (x - lo) * (x_new - lo)
+        surv = np.ones(alive.size)
+        near = np.flatnonzero(alive & (p_hi > 0.0) & (p_lo > 0.0)
+                              & (np.minimum(p_hi, p_lo) < _BRIDGE_CUT * h))
+        if near.size:
+            hn = h[near]
+            q = np.exp(-2.0 * p_hi[near] / hn) + np.exp(-2.0 * p_lo[near] / hn)
+            surv[near] = np.maximum(1.0 - q, 0.0)
+        w_new = pool.w * surv
+        gain = np.where(pool.a <= a_thresh, w_new * (pool.d1 * em1), 0.0)
+        a_new, ap_new = interp(x_new)
+        for arr, new in ((pool.disc, pool.disc + (pool.w - w_new) * pool.d1),
+                         (pool.low, pool.low + gain), (pool.w, w_new), (pool.x, x_new),
+                         (pool.a, a_new), (pool.ap, ap_new), (pool.d1, pool.d1 * e1),
+                         (pool.t, t + h)):
+            np.copyto(arr, new, where=alive)
         pool.settle(alive, admit)
     return out

@@ -18,14 +18,14 @@ import numpy as np
 # made through analysis.solve_r_star, so the name stays
 from .agent import REGIME_HUMP, eval_agent, solve_r_star  # noqa: F401
 from .model import GameParams, Numerics, benchmark_values, inv_logit, logit, myopic_cutoffs, termination_payoff
-from .principal import BracketError, ConvergenceError, Equilibrium, solve_equilibrium
+from .principal import ConvergenceError, Equilibrium, solve_equilibrium
 
 SHAPE_DECREASING = "Decreasing"
 SHAPE_ZIGZAG = "ZigZag"
 
 # failures a sweep records in its row and sweeps past; anything else is a bug
 # and propagates (SeparatingRegimeError is a ValueError)
-_SOLVER_ERRORS = (ConvergenceError, BracketError, ValueError)
+_SOLVER_ERRORS = (ConvergenceError, ValueError)
 
 
 @dataclass(frozen=True)

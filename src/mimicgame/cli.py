@@ -25,7 +25,7 @@ from .agent import SeparatingRegimeError, eval_agent, raw_coefficients
 from .analysis import classify_ep_shape, expected_performance, sweep_patience, sweep_psi
 from .model import GameParams, Numerics, benchmark_values, logit, myopic_cutoffs
 from .oracle import DiscreteGame, OscillationError, discrete_equilibrium
-from .principal import BracketError, ConvergenceError, solve_equilibrium
+from .principal import ConvergenceError, solve_equilibrium
 from .simulate import SimConfig, estimate_values
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.cmd](params, numerics, cblock, out, args)
-    except (ConvergenceError, BracketError, OscillationError, SeparatingRegimeError) as exc:
+    except (ConvergenceError, OscillationError, SeparatingRegimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -25,10 +25,6 @@ class ConvergenceError(RuntimeError):
     """A solver loop exceeded its iteration budget."""
 
 
-class BracketError(RuntimeError):
-    """A root bracket failed to show the sign change theory promises."""
-
-
 @dataclass(frozen=True)
 class ValueCurve:
     """A quantity tabulated on a strictly increasing state grid."""
@@ -187,7 +183,8 @@ def solve_equilibrium(params: GameParams, grid_n: int | None = None,
 
     The map phi sends a conjectured cutoff to the principal's best reply
     against the agent's reaction; it is continuous and lands in
-    [p**, p_H], so g(p) = phi(p) - p changes sign on that interval and
+    [p**, p_H] (best_reply_cutoff clips it there), so g(p) = phi(p) - p
+    is >= 0 at p** and <= 0 at p_H without evaluating either end, and
     bisection pins the unique fixed point. The agent's reaction to each
     conjecture is one closed-form shape re-anchored at the conjectured cutoff.
     """
@@ -202,11 +199,6 @@ def solve_equilibrium(params: GameParams, grid_n: int | None = None,
         return cut, agent, w
 
     lo, hi = p_ss, p_h
-    g_lo = phi(lo)[0] - lo
-    g_hi = phi(hi)[0] - hi
-    if g_lo < -num.fp_tol or g_hi > num.fp_tol:
-        raise BracketError("best-reply map leaves [p**, p_H]; no bracket for the fixed point")
-
     iters = 0
     mid = 0.5 * (lo + hi)
     residual = np.inf

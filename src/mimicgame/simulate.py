@@ -1,12 +1,15 @@
 """Monte Carlo validation of the equilibrium objects.
 
-Simulates the belief process in logit coordinates under each agent type,
-with termination opportunities at exact exponential arrival times. The
-noninvestible type drifts up at +psi^2 (1-a)^2 / 2, the investible type
-down at the mirror rate, both diffusing at psi (1-a). Type-conditioned
-runs combine into unconditional estimates with prior weights. Both types
-run in one pool of in-flight paths, whose width and type mix do not change
-any result.
+Simulates the belief process under each agent type, with termination
+opportunities at exact exponential arrival times. In logit coordinates z
+the noninvestible type drifts up at +psi^2 (1-a)^2 / 2, the investible
+type down at the mirror rate, both diffusing at psi (1-a). The kernels
+step the belief in its Lamperti coordinate X = int dz / (psi (1-a)),
+where it diffuses at unit volatility (Kloeden & Platen 1992, section
+4.4); _lamperti gives X in closed form and tabulates z, a and da/dz on a
+uniform X grid. Type-conditioned runs combine into unconditional
+estimates with prior weights. Both types run in one pool of in-flight
+paths, whose width and type mix do not change any result.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _simkernels
-from .agent import eval_agent
+from .agent import REGIME_HUMP, eval_agent
 from .model import GameParams, Numerics, inv_logit, logit
 from .principal import Equilibrium
 
@@ -24,9 +27,7 @@ TYPE_NONINVESTIBLE = "NI"
 TYPE_INVESTIBLE = "I"
 
 _TAG_NI, _TAG_I, _TAG_DIAG = 0, 1, 2
-# step shrink factor inside the mixing band; ROADMAP Direction 5 tabulates
-# the agent's bias per halving at 1, 2 and 4
-_BAND_REFINE = 4
+_NEWTON_MAXIT = 20       # Newton steps allowed to place the table's nodes in the mixing region
 _BOTH = (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE)
 
 
@@ -146,16 +147,71 @@ class LearningDiagnostic:
 
     value: float
     se: float
-    mean_disc_exit: float    # E[e^{-r1 T}] at the interval exit time
-    exited_frac: float
+    mean_disc_exit: float    # E[e^{-r1 T}] at the interval exit time, or the horizon
+    exited_frac: float       # mean probability of leaving the interval before the horizon
 
 
-def _policy_table(eq: Equilibrium, cfg: SimConfig, num: Numerics):
-    n = 2 * int(round(cfg.z_cap / num.z_table_step)) + 1
-    z_tab = np.linspace(-cfg.z_cap, cfg.z_cap, n)
-    a_tab, _ = eval_agent(eq.agent, z_tab)
-    inv_dz = (n - 1) / (2.0 * cfg.z_cap)
-    return np.ascontiguousarray(a_tab), -cfg.z_cap, inv_dz
+def _lamperti(eq: Equilibrium, cfg: SimConfig, num: Numerics):
+    """The belief's Lamperti coordinate X = int dz / (psi (1 - a(z))), and its table.
+
+    Where the agent does not mix (outside [z_L, z_R], and everywhere in the
+    separating regime) a = 0, so X = z / psi up to a constant. Inside the
+    mixing region both quantile branches of the agent's value have
+    v'(z) = -r1 c / (psi^2 (1 - a)), so there X = X(z_L) - psi (v(z) - v_L)
+    / (r1 c). The constants make X = z / psi left of z_L and continuous
+    across z_R. Returns (to_x, tab, x_cap): to_x maps a 1-d array of logit
+    beliefs to X; tab holds the rows z, a and a' = da/dz on uniform nodes
+    from x_cap[0] = X(-z_cap) to x_cap[1] = X(z_cap), at a spacing of at
+    most z_table_step / psi.
+    """
+    sol, p = eq.agent, eq.params
+    psi = p.psi
+    rate = p.r1 * p.c / psi              # -dv/dX inside the mixing region
+    mixes = sol.regime == REGIME_HUMP
+    z_l, z_r = (sol.z_L, sol.z_R) if mixes else (math.inf, math.inf)
+    x_l = z_l / psi
+    x_r = x_l + (sol.v_L - sol.v_R) / rate if mixes else math.inf
+
+    def to_x(z):
+        z = np.array(z, dtype=float)
+        x = z / psi
+        right = z >= z_r
+        x[right] = x_r + (z[right] - z_r) / psi
+        mix = (z_l < z) & ~right
+        if mix.any():
+            x[mix] = x_l - (eval_agent(sol, z[mix])[1] - sol.v_L) / rate
+        return x
+
+    x_cap = tuple(float(x) for x in to_x([-cfg.z_cap, cfg.z_cap]))
+    n = int(math.ceil((x_cap[1] - x_cap[0]) * psi / num.z_table_step)) + 1
+    x = np.linspace(x_cap[0], x_cap[1], n)
+    z = psi * x
+    right = x >= x_r
+    z[right] = z_r + psi * (x[right] - x_r)
+    mix = (x_l < x) & ~right
+    if mix.any():
+        # Newton on v(z) = v_L - rate (X - X_L), from the chords of X(z) on
+        # a grid of the table's z spacing
+        v_target = sol.v_L - rate * (x[mix] - x_l)
+        zs = np.linspace(z_l, z_r, int(math.ceil((z_r - z_l) / num.z_table_step)) + 1)
+        zb = np.interp(x[mix], to_x(zs), zs)
+        for _ in range(_NEWTON_MAXIT):
+            a, v = eval_agent(sol, zb)
+            step = (v - v_target) * psi * (1.0 - a) / rate
+            zb = np.clip(zb + step, z_l, z_r)
+            if np.max(np.abs(step)) < 1e-10:
+                break
+        z[mix] = zb
+    a, v = eval_agent(sol, z)
+    # (1 - a) v' is constant in the mixing region, so a' = (1 - a) v'' / v';
+    # the quantile branches give v'' = v' + v'^2 (v - centre) / kappa
+    ap = np.zeros(n)
+    if mix.any():
+        left = z < sol.z_star
+        centre = np.where(left, p.u, p.r1 * p.u / (p.r1 + p.lam))
+        kappa = np.where(left, sol.kappa_L, sol.kappa_R)
+        ap[mix] = ((1.0 - a) - rate * (v - centre) / (psi * kappa))[mix]
+    return to_x, np.stack([z, a, ap]), x_cap
 
 
 def _se(x):
@@ -183,22 +239,17 @@ def _refined(weights, samples) -> RefinedEstimate:
 
 
 def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics):
-    """Kernel arguments for one pool of agent_types; refine is the step shrink in the band."""
+    """Kernel arguments for one pool of agent_types, in the Lamperti coordinate."""
     p = eq.params
-    a_tab, z_lo, inv_dz = _policy_table(eq, cfg, num)
-    if eq.agent.regime == "hump-shaped":
-        band_lo, band_hi = eq.agent.z_L - 0.3, eq.agent.z_R + 0.3
-        refine = _BAND_REFINE
-    else:
-        band_lo, band_hi, refine = np.inf, -np.inf, 1
+    to_x, tab, x_cap = _lamperti(eq, cfg, num)
+    x0, x_star = to_x([logit(cfg.p0), eq.agent.z_star])
     ni = [t == TYPE_NONINVESTIBLE for t in agent_types]
-    return refine, dict(
-        z0=logit(cfg.p0), z_star=eq.agent.z_star,
+    return dict(
+        x0=float(x0), x_star=float(x_star),
         drift_sign=tuple(1.0 if x else -1.0 for x in ni),
         psi=p.psi, r1=p.r1, r2=p.r2, u=p.u, c=p.c, lam=p.lam, dt=cfg.dt,
-        horizon=cfg.horizon, z_cap=cfg.z_cap, a_tab=a_tab, z_lo=z_lo, inv_dz=inv_dz,
-        seed=cfg.seed, tag=tuple(_TAG_NI if x else _TAG_I for x in ni), batch=cfg.batch,
-        band_lo=band_lo, band_hi=band_hi)
+        horizon=cfg.horizon, x_cap=x_cap, tab=tab,
+        seed=cfg.seed, tag=tuple(_TAG_NI if x else _TAG_I for x in ni), batch=cfg.batch)
 
 
 def _martingale(cfg: SimConfig, res_ni, res_i) -> MartingaleResult:
@@ -210,10 +261,9 @@ def _martingale(cfg: SimConfig, res_ni, res_i) -> MartingaleResult:
 def _run_types(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics,
                n_paths=None, path_offset=0):
     """Runs of agent_types in one pool; result[k] holds agent_types[k]'s paths."""
-    refine, args = _kernel_args(eq, cfg, agent_types, num)
     return _simkernels.run_main(
-        **args, t_probe=cfg.t_probe, n_paths=cfg.n_paths if n_paths is None else n_paths,
-        path_offset=path_offset, dt_band=cfg.dt / refine)
+        **_kernel_args(eq, cfg, agent_types, num), t_probe=cfg.t_probe,
+        n_paths=cfg.n_paths if n_paths is None else n_paths, path_offset=path_offset)
 
 
 def simulate_path(eq: Equilibrium, agent_type: str, cfg: SimConfig,
@@ -276,7 +326,7 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     Independent runs at the two step sizes differ by sampling noise of the
     order of their standard errors, which hides any discretisation bias
     smaller than that. Here each path index drives both step sizes with one
-    Brownian path: unit normals on the grid of the fine leg's in-band step,
+    Brownian path: unit normals on the grid of the fine leg's step,
     restarted at every opportunity arrival, each step summing the units it
     spans, plus one draw for the partial unit before an arrival or the
     horizon. Arrival times come from the same exponential stream as
@@ -293,8 +343,8 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     """
     cfg = cfg.resolve(eq.params)
     p = eq.params
-    refine, args = _kernel_args(eq, cfg, _BOTH, num)
-    res_ni, res_i = _simkernels.run_coupled(**args, refine=refine, n_paths=cfg.n_paths)
+    res_ni, res_i = _simkernels.run_coupled(**_kernel_args(eq, cfg, _BOTH, num),
+                                            n_paths=cfg.n_paths)
     pay = res_ni[..., 2]
     lump = (_lump(res_ni, p.w_NI), _lump(res_i, p.w_I))
     return RefinementReport(
@@ -319,6 +369,11 @@ def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
 
     Runs the noninvestible dynamics without termination: the clock stops
     when the belief leaves (interval[0], interval[1]) or at the horizon.
+    Exits between step ends are weighted in by the Brownian-bridge
+    crossing chance of each step, which removes the sqrt(dt) bias of
+    watching the barriers only at step ends. mean_disc_exit counts the
+    horizon as the exit of a path still inside there, and exited_frac is
+    the mean probability that a path has left by the end of its run.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -327,13 +382,13 @@ def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
         raise ValueError("interval must strictly contain p0 inside (0, 1)")
     cfg = cfg.resolve(eq.params)
     p = eq.params
-    a_tab, z_lo, inv_dz = _policy_table(eq, cfg, num)
+    to_x, tab, x_cap = _lamperti(eq, cfg, num)
+    x0, x_a, x_b = to_x([logit(cfg.p0), logit(lo), logit(hi)])
     res = _simkernels.run_diag(
-        z0=logit(cfg.p0), z_int_lo=logit(lo), z_int_hi=logit(hi), psi=p.psi,
-        r1=p.r1, u=p.u, c=p.c, a_thresh=1.0 - eps, dt=cfg.dt, horizon=cfg.horizon,
-        a_tab=a_tab, z_lo=z_lo, inv_dz=inv_dz, n_paths=cfg.n_paths,
-        seed=cfg.seed, tag=_TAG_DIAG, batch=cfg.batch)
+        x0=float(x0), x_int=(float(x_a), float(x_b)), psi=p.psi, r1=p.r1,
+        a_thresh=1.0 - eps, dt=cfg.dt, horizon=cfg.horizon, tab=tab, x_cap=x_cap,
+        n_paths=cfg.n_paths, seed=cfg.seed, tag=_TAG_DIAG, batch=cfg.batch)
     vals = res[:, 3]
     return LearningDiagnostic(value=float(np.mean(vals)), se=_se(vals),
                               mean_disc_exit=float(np.mean(res[:, 2])),
-                              exited_frac=float(np.mean(res[:, 1] > 0.0)))
+                              exited_frac=float(np.mean(res[:, 1])))

@@ -67,26 +67,69 @@ def _interp_reference(a_tab, z_lo, inv_dz, zv):
 
 
 def test_lookup_matches_reference(fig_eq):
-    # the fig1 policy table, and a random one on a dyadic grid whose nodes
-    # map to exact table positions
+    # the fig1 table (rows z, a and a' over X), and a random two-row one on a
+    # dyadic grid whose nodes map to exact table positions; every row read
+    # through the shared index must match a lookup of that row alone
     from mimicgame._simkernels import _lookup
     from mimicgame.model import Numerics
-    from mimicgame.simulate import _policy_table
+    from mimicgame.simulate import _lamperti
     rng = np.random.default_rng(3)
-    tables = [_policy_table(fig_eq, SimConfig(p0=0.3).resolve(FIG), Numerics()),
-              (rng.random(129), -16.0, 4.0)]
-    for a_tab, z_lo, inv_dz in tables:
-        z_cap = -z_lo
-        nodes = z_lo + np.arange(a_tab.size) / inv_dz
+    _, tab, x_cap = _lamperti(fig_eq, SimConfig(p0=0.3).resolve(FIG), Numerics())
+    tables = [(tab, x_cap), (rng.random((2, 129)), (-16.0, 16.0))]
+    for tab, (x_lo, x_hi) in tables:
+        inv_dx = (tab.shape[1] - 1) / (x_hi - x_lo)
+        nodes = x_lo + np.arange(tab.shape[1]) / inv_dx
+        span = nodes[-1] - x_lo
         points = np.concatenate([
-            rng.uniform(-z_cap, z_cap, 5000),
+            rng.uniform(x_lo, nodes[-1], 5000),
             nodes, nodes[-1:],                                # on nodes, the last one included
-            rng.uniform(-3 * z_cap, z_lo, 50),                # below the table
-            rng.uniform(nodes[-1], 3 * z_cap, 50),            # above the last node
-            [-(z_cap + 1), z_cap + 1]])
-        got = _lookup(a_tab, z_lo, inv_dz)(points)
-        want = _interp_reference(a_tab, z_lo, inv_dz, points)
-        assert got.tobytes() == want.tobytes()
+            rng.uniform(x_lo - 2 * span, x_lo, 50),           # below the table
+            rng.uniform(nodes[-1], nodes[-1] + 2 * span, 50),  # above the last node
+            [x_lo - 1, nodes[-1] + 1]])
+        got = _lookup(tab, (x_lo, x_hi))(points)
+        assert got.shape == (tab.shape[0], points.size)
+        for row, want in zip(got, tab):
+            assert row.tobytes() == _interp_reference(want, x_lo, inv_dx, points).tobytes()
+
+
+@pytest.mark.parametrize("regime", ["hump", "separating"])
+def test_lamperti_table(fig_eq, regime):
+    # X = int dz / (psi (1 - a)) in closed form, and its table of z, a and a'
+    from mimicgame._simkernels import _lookup
+    from mimicgame.model import Numerics
+    from mimicgame.simulate import _lamperti
+    eq = fig_eq if regime == "hump" else mg.solve_equilibrium(FIG.with_(r1=10.0))
+    cfg = SimConfig(p0=0.3).resolve(FIG)
+    sol = eq.agent
+    to_x, tab, x_cap = _lamperti(eq, cfg, Numerics())
+    z_tab, a_tab, ap_tab = tab
+    nodes = np.linspace(*x_cap, z_tab.size)
+    assert nodes[1] - nodes[0] <= Numerics().z_table_step / FIG.psi
+    # the cap ends map back to the cap, and every node's z maps to the node
+    assert (z_tab[0], z_tab[-1]) == pytest.approx((-cfg.z_cap, cfg.z_cap), abs=1e-12)
+    assert tuple(to_x([-cfg.z_cap, cfg.z_cap])) == x_cap
+    assert np.max(np.abs(to_x(z_tab) - nodes)) < 1e-12
+    assert np.array_equal(a_tab, mg.eval_agent(sol, z_tab)[0])
+    # z(X(z)) through the table: exact where z is linear in X, and within
+    # the linear-interpolation error inside the mixing region
+    rng = np.random.default_rng(11)
+    kinks = [k for k in (sol.z_L, sol.z_star, sol.z_R) if math.isfinite(k)]
+    z = np.concatenate([rng.uniform(-cfg.z_cap, cfg.z_cap, 4000), [sol.z_star], kinks])
+    z_back = _lookup(tab[:1], x_cap)(to_x(z))[0]
+    mixes = sol.regime == mg.REGIME_HUMP
+    assert np.max(np.abs(z_back - z)) < (1e-6 if mixes else 1e-12)
+    # a' against central differences of the policy, away from its kinks
+    h = 1e-5
+    diff = (mg.eval_agent(sol, z_tab + h)[0] - mg.eval_agent(sol, z_tab - h)[0]) / (2 * h)
+    away = np.all([np.abs(z_tab - k) > 1e-4 for k in kinks], axis=0)
+    assert np.max(np.abs(ap_tab - diff)[away]) < 1e-7
+    if mixes:
+        assert np.max(ap_tab) > 0.5 and np.min(ap_tab) < -1.0
+    # X against trapezoidal quadrature of 1 / (psi (1 - a))
+    zq = np.linspace(-cfg.z_cap, cfg.z_cap, 240_001)
+    f = 1.0 / (FIG.psi * (1.0 - mg.eval_agent(sol, zq)[0]))
+    quad = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * (zq[1] - zq[0]))])
+    assert np.max(np.abs(to_x(zq) - x_cap[0] - quad)) < 1e-6
 
 
 def test_determinism_bit_identical(fig_eq):
@@ -113,7 +156,7 @@ def test_pool_refill_keeps_path_index(fig_eq):
     # record must land at its own index and match the path run on its own
     from mimicgame import _simkernels
     from mimicgame.model import Numerics, inv_logit
-    from mimicgame.simulate import _kernel_args, _run_types
+    from mimicgame.simulate import _kernel_args, _lamperti, _run_types
     cfg = SimConfig(p0=0.4, n_paths=40, seed=5, batch=8).resolve(FIG)
     shared = _run_types(fig_eq, cfg, ("NI", "I"), Numerics())
     for k, agent_type in enumerate(("NI", "I")):
@@ -130,21 +173,21 @@ def test_pool_refill_keeps_path_index(fig_eq):
                 assert rec.agent_payoff == pay
     # the coupled and diagnostic runs give identical arrays at any pool width,
     # and the coupled run gives each type the arrays of that type run alone
-    refine, args = _kernel_args(fig_eq, cfg, ("NI", "I"), Numerics())
-    diag_args = dict(z0=logit(0.4), z_int_lo=logit(0.05), z_int_hi=logit(0.95), psi=FIG.psi,
-                     r1=FIG.r1, u=FIG.u, c=FIG.c, a_thresh=0.9, dt=cfg.dt, horizon=cfg.horizon,
-                     a_tab=args["a_tab"], z_lo=args["z_lo"], inv_dz=args["inv_dz"],
+    args = _kernel_args(fig_eq, cfg, ("NI", "I"), Numerics())
+    to_x = _lamperti(fig_eq, cfg, Numerics())[0]
+    x0, x_a, x_b = to_x([logit(0.4), logit(0.05), logit(0.95)])
+    diag_args = dict(x0=x0, x_int=(x_a, x_b), psi=FIG.psi, r1=FIG.r1, a_thresh=0.9,
+                     dt=cfg.dt, horizon=cfg.horizon, tab=args["tab"], x_cap=args["x_cap"],
                      n_paths=40, seed=5, tag=2)
     coupled, diag = [], []
     for width in (8, 37, 40):
-        coupled.append(_simkernels.run_coupled(**dict(args, batch=width), refine=refine,
-                                               n_paths=40))
+        coupled.append(_simkernels.run_coupled(**dict(args, batch=width), n_paths=40))
         diag.append(_simkernels.run_diag(**diag_args, batch=width))
     for x in coupled[1:]:
         assert x.tobytes() == coupled[0].tobytes()
     for k, agent_type in enumerate(("NI", "I")):
-        _, one = _kernel_args(fig_eq, cfg, (agent_type,), Numerics())
-        alone = _simkernels.run_coupled(**dict(one, batch=40), refine=refine, n_paths=40)[0]
+        one = _kernel_args(fig_eq, cfg, (agent_type,), Numerics())
+        alone = _simkernels.run_coupled(**dict(one, batch=40), n_paths=40)[0]
         assert alone.tobytes() == coupled[0][k].tobytes()
     for x in diag[1:]:
         assert x.tobytes() == diag[0].tobytes()
@@ -263,6 +306,45 @@ def test_learning_diagnostic_separating_identity():
     cfg = SimConfig(p0=0.5, n_paths=3000, seed=21)
     diag = learning_diagnostic(eq, cfg, eps=0.1, interval=(0.2, 0.8))
     assert diag.value == pytest.approx(1.0 - diag.mean_disc_exit, abs=1e-12)
+
+
+def test_learning_diagnostic_separating_closed_form():
+    # with no mimicking X = z / psi is a Brownian motion with drift psi/2, and
+    # the diagnostic is 1 - E[e^{-r1 tau}] for its exit time from the interval:
+    # f = A e^{k1 x} + B e^{k2 x}, f = 1 at both ends, k = -mu +- sqrt(mu^2 + 2 r1)
+    pars = FIG.with_(r1=2.0)
+    eq = mg.solve_equilibrium(pars)
+    assert eq.agent.regime == mg.REGIME_SEPARATING
+    mu, root = 0.5 * pars.psi, math.sqrt(0.25 * pars.psi**2 + 2.0 * pars.r1)
+    ends = np.array([logit(0.2), logit(0.8)]) / pars.psi
+    coef = np.linalg.solve(np.exp(np.outer(ends, [-mu + root, -mu - root])), [1.0, 1.0])
+    closed_form = 1.0 - coef.sum()
+    assert closed_form == pytest.approx(0.659350, abs=1e-6)
+    diag = learning_diagnostic(eq, SimConfig(p0=0.5, n_paths=20_000, seed=21), eps=0.1,
+                               interval=(0.2, 0.8))
+    assert abs(diag.value - closed_form) < 3 * diag.se
+
+
+def test_learning_diagnostic_matches_ode(fig_eq):
+    # the diagnostic solves mu f' + sigma^2 f''/2 - r1 f + r1 1{a <= 1 - eps} = 0
+    # in z on the interval, with f = 0 at both ends; one tridiagonal solve
+    from scipy.linalg import solve_banded
+    z = np.linspace(logit(0.05), logit(0.95), 16_001)
+    h = z[1] - z[0]
+    a, _ = mg.eval_agent(fig_eq.agent, z)
+    half_var = 0.5 * (FIG.psi * (1.0 - a)) ** 2      # sigma^2 / 2, also the drift mu
+    lower, upper = half_var / h**2 - half_var / (2 * h), half_var / h**2 + half_var / (2 * h)
+    ab = np.zeros((3, z.size - 2))
+    ab[0, 1:] = upper[1:-2]
+    ab[1] = -2.0 * half_var[1:-1] / h**2 - FIG.r1
+    ab[2, :-1] = lower[2:-1]
+    f = np.zeros(z.size)
+    f[1:-1] = solve_banded((1, 1), ab, -FIG.r1 * (a[1:-1] <= 0.9))
+    reference = float(np.interp(logit(0.3), z, f))
+    assert reference == pytest.approx(0.873832, abs=1e-5)
+    diag = learning_diagnostic(fig_eq, SimConfig(p0=0.3, n_paths=20_000, seed=21), eps=0.1,
+                               interval=(0.05, 0.95))
+    assert abs(diag.value - reference) < 3 * diag.se
 
 
 def test_learning_diagnostic_threshold_edge(fig_eq):
