@@ -28,9 +28,10 @@ up half the pool, so a run pays one drain tail however many types it
 holds. A path's draw buffers stay in the buffer row it was admitted to,
 so dropping rows copies only the per-path state. All randomness comes
 from per-path counter-based Philox streams keyed by (seed, type tag, path
-index), consumed one normal per diffusion step and one exponential per
-opportunity arrival, so a path's trajectory depends neither on the row it
-runs in, nor on the width of the pool, nor on the types that share it.
+index), consumed one normal per diffusion step (per fine step in the
+coupled run) and one exponential per opportunity arrival, so a path's
+trajectory depends neither on the row it runs in, nor on the width of the
+pool, nor on the types that share it.
 
 Paths freeze once X reaches either end of the table, the images of -z_cap
 and z_cap, after which their fate is deterministic and closed in one shot.
@@ -45,20 +46,15 @@ at dt/2 on one shared Brownian path. Independent runs at the two step
 sizes differ by sampling noise of the size of their standard errors
 (their payoffs correlate only about 0.7 path by path when they merely
 share streams, because the normals land at different times), which hides
-a bias smaller than that noise. Here the unit normals live on a grid of
-dt/2, restarted at every opportunity arrival, so a step of the coarse leg
-spans two units and a step of the fine leg one, and each takes the sum of
-the normals it spans; one extra draw covers the partial unit before an
-arrival or the horizon. Arrival times come from the same exponential
-stream as the main run. Each pass of the loop takes a joint step of every
-leg that is level with or behind its partner, then lets the fine leg
-catch up where it is still behind: from level positions the pair covers
-one coarse step in three leg-steps, none of them discarded. The legs so
-stay within one coarse step of each other, one short window of drawn
-units serves both, and each leg carries the running sum at its unit, so a
-full step reads one new sum. Only the step that ends a segment reads the
-partial unit and evaluates exp. Both legs step through the same _advance
-as the main run.
+a bias smaller than that noise. Here the two legs move in lockstep on the
+row's clock, so that the coarse increment is the sum of two fine ones
+(Giles, Oper. Res. 2008). Each pass draws two normals xi1 and xi2 per row
+and takes two fine steps over h1 and h2, driven by sqrt(h1) xi1 and
+sqrt(h2) xi2, and one coarse step over h = h1 + h2, driven by their sum.
+Each step length is the leg's nominal step, clipped at the next arrival or
+the horizon, so both legs reach every arrival together and each decides
+there whether it stops. Arrival times come from the same exponential
+stream as the main run, and both legs step through the same _advance.
 
 The learning diagnostic (run_diag) runs the noninvestible type until the
 belief leaves an interval. Between step ends a path may leave and come
@@ -69,17 +65,12 @@ that it is still inside, and the mass a step loses exits at the step's
 start.
 """
 
-import math
-
 import numpy as np
 from numpy.random import Generator, Philox
 
 _CHUNK_N = 2048       # normals drawn per path per refill
 _CHUNK_E = 64         # exponentials drawn per path per refill
 
-_DEAD = 1 << 62        # unit position of a finished leg in the coupled run
-_REACH = 5             # units the coupled run's window must hold past the lagging leg:
-                       # two coarse steps and the partial unit
 _BRIDGE_CUT = 20.0     # a step whose barrier products both exceed this many h crosses
                        # with chance below 2 exp(-40) < 2^-54, so 1 - q rounds to 1.0
 
@@ -369,69 +360,37 @@ def run_coupled(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_c
 
     drift_sign, tag, tab and x_cap are as in run_main. Returns shape
     (types, 2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns (T,
-    stopped, pay, e^{-r1 T}, e^{-r2 T}). Each pass of the loop takes a
-    joint step of every leg that is level with or behind its partner, then
-    a catch-up step of the fine leg where it is still behind. At most batch
-    paths are in flight at once, over all types; no result depends on
-    batch or on the types that share the pool.
+    stopped, pay, e^{-r1 T}, e^{-r2 T}). The legs move in lockstep on the
+    row's clock: each pass draws two normals per row, then takes one coarse
+    step over h and two fine steps over h1 and h2, with h1 + h2 = h, all
+    clipped at the next arrival or the horizon. Each fine step is driven by
+    its own normal and the coarse step by their sum. A row stays in the
+    pool while either leg is alive. At most batch paths are in flight at
+    once, over all types; no result depends on batch or on the types that
+    share the pool.
     """
     exp_scale = 1.0 / lam
     half_psi = 0.5 * psi
-    # leg 0 steps at dt, leg 1 at dt/2, each a whole number of units of
-    # length du. Per leg (row): units per step, step length and discount
-    # factors over a full step
-    du = 0.5 * dt
-    sq_du = math.sqrt(du)
-    h_leg = np.array([[dt], [du]])
-    with np.errstate(under="ignore"):
-        joint = (np.array([[2], [1]]), h_leg, np.exp(-r1 * h_leg), -np.expm1(-r1 * h_leg),
-                 np.exp(-r2 * h_leg))
-    fine = tuple(x[1, 0] for x in joint)
-    # ring positions are a bit mask, so its length is a power of two. A
-    # refill comes once the lagging leg is within _REACH units of the last
-    # drawn unit, and its chunk units must not overwrite the units from the
-    # lagging leg on: chunk + _REACH + 1 <= ring_len
-    ring_len = _CHUNK_N
-    wrap = ring_len - 1
-    chunk = ring_len - 2 * _REACH
-    fill = np.arange(chunk)
+    coarse = _stepper(dt, r1, r2)
+    fine = _stepper(0.5 * dt, r1, r2)
     interp = _lookup(tab[1:], x_cap)
     a0, ap0 = _policy_at(interp, x0)
     total = len(tag) * n_paths
     out = np.empty((len(tag), 2, n_paths, 5))
 
-    # Per path: the shared arrival clock and Brownian path. ring holds the
-    # running sums C[q] of the path's unit normals for q in
-    # [filled - ring_len, filled), at slot q % ring_len, which the row reads
-    # at flat offset off; the units of the current segment are normals
-    # base, base + 1, ... Differencing running sums costs only rounding at
-    # their scale, far below what the check resolves.
+    # Per path: the clock and arrivals the legs share, and alive while
+    # either leg is live. Per leg (leg 0 at dt, leg 1 at dt/2) and path:
+    # the state, and live until the leg's outcome is in out. A dead leg of
+    # a live path keeps stepping on stale state that only the masks read.
     pool = _Pool(total, batch)
-    pool.hold("sgn anchor arr seg_end sfrac")
-    pool.hold("off filled base epos n_full n_end", np.int64)
+    pool.hold("sgn t arr")
+    pool.hold("alive", bool)
+    pool.hold("epos npos", np.int64)
     pool.hold("gens_n gens_e", object)
-    # Per leg and path: m counts the units walked in the current segment;
-    # a leg with m >= n_end waits at the segment's end, and m == _DEAD marks
-    # a finished leg, whose outcome is already in out. a and ap are the
-    # policy at x, cm the running sum C at the leg's unit.
-    pool.hold("x a ap cm d1 d2 pay", legs=2)
-    pool.hold("m", np.int64, legs=2)
+    pool.hold("x a ap pay d1 d2", legs=2)
+    pool.hold("live", bool, legs=2)
     n = pool.slot.size
-    pool.off[:] = pool.slot * ring_len
-    ring = np.zeros((n, ring_len))
-    flat = ring.reshape(-1)
-    echunk = np.empty((n, _CHUNK_E))
-
-    def open_segment(r):
-        # a segment runs from the last arrival to the next one or the horizon:
-        # n_full whole units, then a partial unit of length frac
-        pool.seg_end[r] = np.minimum(pool.arr[r], horizon)
-        length = pool.seg_end[r] - pool.anchor[r]
-        units = np.floor(length / du)
-        frac = np.maximum(length - units * du, 0.0)
-        pool.n_full[r] = units
-        pool.n_end[r] = units + (frac > 0.0)
-        pool.sfrac[r] = np.sqrt(frac)
+    echunk = np.empty((n, _CHUNK_E)); nchunk = np.empty((n, _CHUNK_N))
 
     def admit(free):
         r, q = pool.take(free)
@@ -439,112 +398,55 @@ def run_coupled(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_c
         for i, k, jj in zip(r, kind, j):
             pool.gens_n[i] = _gen(seed, tag[k], int(jj), 0)
             pool.gens_e[i] = _gen(seed, tag[k], int(jj), 1)
-            ring[pool.slot[i], 0] = 0.0
-            ring[pool.slot[i], 1:chunk] = np.cumsum(pool.gens_n[i].standard_normal(chunk - 1))
-        pool.filled[r] = chunk; pool.base[r] = 0; pool.epos[r] = _CHUNK_E
-        pool.anchor[r] = 0.0
+        pool.t[r] = 0.0; pool.npos[r] = _CHUNK_N; pool.epos[r] = _CHUNK_E
         _next_arrivals(pool, r, 0.0, echunk, exp_scale)
-        open_segment(r)
         pool.x[:, r] = x0; pool.d1[:, r] = 1.0; pool.d2[:, r] = 1.0; pool.pay[:, r] = 0.0
         pool.a[:, r] = a0; pool.ap[:, r] = ap0
-        pool.m[:, r] = 0; pool.cm[:, r] = 0.0
+        pool.live[:, r] = True; pool.alive[r] = True
 
     def finish(mask, T, stopped):
         leg, col = np.nonzero(mask)
         kind, j = np.divmod(pool.path[col], n_paths)
-        out[kind, leg, j] = np.stack([T, stopped, pool.pay[mask], pool.d1[mask],
-                                      pool.d2[mask]], axis=-1)
-        pool.m[mask] = _DEAD
+        out[kind, leg, j] = np.stack(np.broadcast_arrays(
+            T, stopped, pool.pay[mask], pool.d1[mask], pool.d2[mask]), axis=-1)
+        pool.live[mask] = False
+        pool.alive = pool.live[0] | pool.live[1]
 
-    def step(legs, consts, go):
-        """Step the legs picked by legs (both, or the fine one) where go.
-
-        Returns the mask of the steps that end the segment.
-        """
-        k, h_full, e1_full, em1_full, e2_full = consts
-        base, off, anchor, seg_end = pool.base, pool.off, pool.anchor, pool.seg_end
-        ml = pool.m[legs]; c0 = pool.cm[legs]
-        c1 = flat[off + ((base + ml + k) & wrap)]
-        dw = sq_du * (c1 - c0)
-        h, e1, em1, e2 = (np.full(ml.shape, x) for x in (h_full, e1_full, em1_full, e2_full))
-        # the step that reaches the arrival or the horizon runs to the
-        # segment's end: its whole units, plus the partial unit
-        last = go & (ml + k >= pool.n_end)
-        if last.any():
-            idx = np.nonzero(last)
-            col = idx[-1]
-            hl = np.maximum(seg_end[col] - (anchor[col] + ml[idx] * du), 0.0)
-            pe = base[col] + pool.n_full[col]
-            c1l = flat[off[col] + (pe & wrap)]
-            c2l = flat[off[col] + ((pe + 1) & wrap)]
-            dw[idx] = sq_du * (c1l - c0[idx]) + pool.sfrac[col] * (c2l - c1l)
-            c1[idx] = c2l                    # the next segment starts here
-            h[idx] = hl
-            with np.errstate(under="ignore", over="ignore"):
-                e1[idx] = np.exp(-r1 * hl)
-                em1[idx] = -np.expm1(-r1 * hl)
-                e2[idx] = np.exp(-r2 * hl)
-        state = (pool.x[legs], pool.a[legs], pool.ap[legs], pool.pay[legs], pool.d1[legs],
-                 pool.d2[legs])
-        new = _advance(*state, h, dw, e1, em1, e2, pool.sgn, half_psi, u, c, interp)
-        for x, x_new in zip((*state, c0), (*new, c1)):
-            np.copyto(x, x_new, where=go)
-        np.add(ml, k, out=ml, where=go)
-        return last
+    def advance(state, h, dw, disc):
+        return _advance(*state, h, dw, *disc, pool.sgn, half_psi, u, c, interp)
 
     admit(np.arange(n))
-    while pool.path.size:
-        changed = False
-        m = pool.m
-        act = m < pool.n_end
-        inside = (x_cap[0] < pool.x) & (pool.x < x_cap[1])
-        frozen = act & ~inside
+    while pool.alive.any():
+        frozen = pool.live & ((pool.x <= x_cap[0]) | (pool.x >= x_cap[1]))
         if frozen.any():
-            t = pool.anchor + m * du
-            finish(frozen, *_close_frozen(frozen, pool.x, pool.a, t, pool.arr, pool.pay,
+            finish(frozen, *_close_frozen(frozen, pool.x, pool.a, pool.t, pool.arr, pool.pay,
                                           pool.d1, pool.d2, x_star, r1, r2, u, c, horizon))
-            act &= inside
-            changed = True
 
-        # keep the units past the lagging leg in the window
-        lag = np.minimum(m[0], m[1])
-        need = (lag < pool.n_end) & (pool.base + lag + _REACH >= pool.filled)
-        if need.any():
-            for i in np.nonzero(need)[0]:
-                q = pool.filled[i]
-                row = ring[pool.slot[i]]
-                row[(q + fill) & wrap] = (row[(q - 1) & wrap]
-                                          + np.cumsum(pool.gens_n[i].standard_normal(chunk)))
-                pool.filled[i] += chunk
+        stops = (pool.arr, horizon)
+        h, lim, (_, *disc) = coarse(pool.t, stops, pool.alive)
+        h1, _, (sh1, *disc1) = fine(pool.t, stops, pool.alive)
+        h2, _, (sh2, *disc2) = fine(pool.t + h1, stops, pool.alive)
+        dw1 = sh1 * _normals(pool, nchunk)
+        dw2 = sh2 * _normals(pool, nchunk)
+        state = (pool.x, pool.a, pool.ap, pool.pay, pool.d1, pool.d2)
+        at_dt = advance([x[0] for x in state], h, dw1 + dw2, disc)
+        at_half = advance(advance([x[1] for x in state], h1, dw1, disc1), h2, dw2, disc2)
+        for x, x_dt, x_half in zip(state, at_dt, at_half):
+            x[0] = x_dt; x[1] = x_half
+        pool.t = pool.t + h
 
-        # joint step of the legs level with or behind their partner, then
-        # the fine leg's catch-up where it is still behind and not frozen
-        hit = step(slice(None), joint, act & (m <= m[::-1]))
-        x1 = pool.x[1]
-        hit[1] |= step(1, fine, (m[1] < pool.n_end) & (m[1] < m[0])
-                       & (x_cap[0] < x1) & (x1 < x_cap[1]))
+        hit = pool.alive & (lim == 1)
         if hit.any():
-            at_arr = pool.arr <= horizon
-            stop = hit & at_arr & (pool.x >= x_star)
-            done = stop | (hit & ~at_arr)
-            if done.any():
-                finish(done, np.broadcast_to(pool.seg_end, m.shape)[done],
-                       np.where(stop, 1.0, 0.0)[done])
-            changed = True
-        if not changed:
-            continue
+            stop_now = pool.live & hit & (pool.x >= x_star)
+            finish(stop_now, np.broadcast_to(pool.t, stop_now.shape)[stop_now], 1.0)
+            cont = np.flatnonzero(hit & pool.alive)
+            if cont.size:
+                _next_arrivals(pool, cont, pool.t[cont], echunk, exp_scale)
 
-        # open the next segment once every live leg of a path waits at its end
-        lag = np.minimum(m[0], m[1])
-        ready = (lag >= pool.n_end) & (lag < _DEAD)
-        if ready.any():
-            r = np.nonzero(ready)[0]
-            pool.base[r] += pool.n_full[r] + 1     # whole units plus the partial-unit draw
-            pool.anchor[r] = pool.arr[r]
-            _next_arrivals(pool, r, pool.anchor[r], echunk, exp_scale)
-            open_segment(r)
-            m[:, r] = np.where(m[:, r] < _DEAD, 0, _DEAD)
-        pool.settle(lag < _DEAD, admit)
+        hz = pool.live & (lim == 2)
+        if hz.any():
+            finish(hz, horizon, 0.0)
+        pool.settle(pool.alive, admit)
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .agent import SeparatingRegimeError, eval_agent, raw_coefficients
 from .analysis import classify_ep_shape, expected_performance, sweep_patience, sweep_psi
-from .model import GameParams, Numerics, benchmark_values, logit, myopic_cutoffs
+from .model import GameParams, Numerics, logit, myopic_cutoffs
 from .oracle import DiscreteGame, OscillationError, discrete_equilibrium
 from .principal import ConvergenceError, solve_equilibrium
 from .simulate import SimConfig, estimate_values
@@ -195,7 +195,7 @@ def _cmd_simulate(params, numerics, cblock, out: Path, args):
         "name": "simulate", "p0": sim.p0, "n_paths": sim.n_paths, "seed": seed,
         "eps": eps, "interval": list(interval),
     })
-    a_cf, v_cf = eval_agent(eq.agent, logit(sim.p0))
+    _, v_cf = eval_agent(eq.agent, logit(sim.p0))
     payload = {"report": dataclasses.asdict(rep),
                "closed_form": {"v": float(v_cf), "W": float(eq.W.at(sim.p0)),
                                "p_star": eq.p_star}}

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .agent import AgentSolution, build_agent_solution, eval_agent, solve_r_star
-from .model import GameParams, Numerics, benchmark_values, logit, myopic_cutoffs, termination_payoff
+from .model import GameParams, Numerics, logit, myopic_cutoffs, termination_payoff
 
 
 class ConvergenceError(RuntimeError):
@@ -58,7 +58,7 @@ class Equilibrium:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _belief_grid(params: GameParams, grid_n: int, p_min: float):
+def _belief_grid(grid_n: int, p_min: float):
     return np.linspace(p_min, 1.0 - p_min, grid_n)
 
 
@@ -126,7 +126,7 @@ def solve_value_given_cutoff(agent: AgentSolution, p_cut: float, params: GamePar
         raise ValueError("p_cut must lie in (0, 1)")
     if grid_n < 201:
         raise ValueError("grid_n too small for a meaningful solve")
-    pgrid = _belief_grid(params, grid_n, p_min)
+    pgrid = _belief_grid(grid_n, p_min)
     a_grid, _ = eval_agent(agent, logit(pgrid))
     w = _solve_tridiag(a_grid, _stop_fraction(pgrid, p_cut), pgrid, params)
     return ValueCurve(states=pgrid, values=w, meta="W")
@@ -156,7 +156,7 @@ def best_reply_cutoff(agent: AgentSolution, params: GameParams,
     wandering by rounding-level amounts, up to about 1e-4 of a cell on
     refined grids, so the stop scales with the cell. Returns (cutoff, W curve).
     """
-    pgrid = _belief_grid(params, grid_n, p_min)
+    pgrid = _belief_grid(grid_n, p_min)
     a_grid, _ = eval_agent(agent, logit(pgrid))
     r_term = termination_payoff(pgrid, params)
     p_ss, p_h = myopic_cutoffs(params)

@@ -19,15 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _simkernels
-from .agent import REGIME_HUMP, eval_agent
+from .agent import REGIME_HUMP, eval_agent, eval_agent_derivs
 from .model import GameParams, Numerics, inv_logit, logit
-from .principal import Equilibrium
+from .principal import ConvergenceError, Equilibrium
 
 TYPE_NONINVESTIBLE = "NI"
 TYPE_INVESTIBLE = "I"
 
 _TAG_NI, _TAG_I, _TAG_DIAG = 0, 1, 2
-_NEWTON_MAXIT = 20       # Newton steps allowed to place the table's nodes in the mixing region
+_NEWTON_MAXIT = 60       # safeguarded Newton steps allowed to place the table's mixing nodes
+_X_TOL = 1e-9            # largest miss in X of a placed node
+_Z_CAP_MAX = 37.0
 _BOTH = (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE)
 
 
@@ -63,8 +65,11 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dt > 0.01 / max(1.0, params.psi**2) * (1.0 + 1e-12):
             raise ValueError("dt too coarse: need dt <= 0.01 / max(1, psi^2)")
-        if self.z_cap < 12.0:
-            raise ValueError("z_cap must be at least 12")
+        # past z = _Z_CAP_MAX the belief inv_logit(z) rounds to exactly 1
+        if not (12.0 <= self.z_cap <= _Z_CAP_MAX):
+            raise ValueError(f"z_cap must lie in [12, {_Z_CAP_MAX:g}], got {self.z_cap}")
+        if not (math.isfinite(self.t_probe) and self.t_probe >= 0.0):
+            raise ValueError(f"t_probe must be finite and at least 0, got {self.t_probe}")
         for name in ("n_paths", "batch"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -127,6 +132,8 @@ class RefinedEstimate:
     fine_se: float
     diff_mean: float         # coarse minus fine, path by path
     diff_se: float
+    richardson_mean: float   # 2 fine - coarse, path by path (Talay & Tubaro 1990)
+    richardson_se: float
 
 
 @dataclass(frozen=True)
@@ -190,19 +197,44 @@ def _lamperti(eq: Equilibrium, cfg: SimConfig, num: Numerics):
     z[right] = z_r + psi * (x[right] - x_r)
     mix = (x_l < x) & ~right
     if mix.any():
-        # Newton on v(z) = v_L - rate (X - X_L), from the chords of X(z) on
-        # a grid of the table's z spacing
+        # v(z) = v_L - rate (X - X_L) by Newton, kept inside a bracket that
+        # starts as the node's chord of X(z) on a grid of the table's z
+        # spacing and shrinks with the sign of each residual; a Newton step
+        # that would leave it bisects instead. v falls in z, so the root
+        # lies right of every point with v above the target. A node is
+        # placed by the step after which its miss in X is far below _X_TOL
+        # or its z no longer moves, and stays there.
         v_target = sol.v_L - rate * (x[mix] - x_l)
         zs = np.linspace(z_l, z_r, int(math.ceil((z_r - z_l) / num.z_table_step)) + 1)
-        zb = np.interp(x[mix], to_x(zs), zs)
+        xs = to_x(zs)
+        k = np.clip(np.searchsorted(xs, x[mix]), 1, zs.size - 1)
+        lo, hi = zs[k - 1], zs[k]
+        zb = np.clip(np.interp(x[mix], xs, zs), lo, hi)
+        placed = np.zeros(zb.size, dtype=bool)
         for _ in range(_NEWTON_MAXIT):
             a, v = eval_agent(sol, zb)
-            step = (v - v_target) * psi * (1.0 - a) / rate
-            zb = np.clip(zb + step, z_l, z_r)
-            if np.max(np.abs(step)) < 1e-10:
+            miss = v - v_target
+            lo = np.where(miss > 0.0, zb, lo)
+            hi = np.where(miss > 0.0, hi, zb)
+            z_new = zb + miss * psi * (1.0 - a) / rate
+            z_new = np.where((lo <= z_new) & (z_new <= hi), z_new, 0.5 * (lo + hi))
+            z_new[placed] = zb[placed]
+            placed |= ((np.abs(miss) <= 1e-2 * _X_TOL * rate)
+                       | (np.abs(z_new - zb) <= 2.0 * np.abs(np.spacing(zb))))
+            zb = z_new
+            if placed.all():
                 break
         z[mix] = zb
     a, v = eval_agent(sol, z)
+    if mix.any():
+        # where 1 - a is below what double precision resolves near the peak,
+        # no z lands close enough to its node in X
+        miss = float(np.max(np.abs(x_l - (v[mix] - sol.v_L) / rate - x[mix])))
+        if not miss <= _X_TOL:
+            one_minus_peak = -rate / (psi * eval_agent_derivs(sol, sol.z_star)[2])
+            raise ConvergenceError(
+                f"Lamperti table misses its nodes by {miss:.3g} in X: 1 - a_peak = "
+                f"{one_minus_peak:.3g} is below what double precision resolves")
     # (1 - a) v' is constant in the mixing region, so a' = (1 - a) v'' / v';
     # the quantile branches give v'' = v' + v'^2 (v - centre) / kappa
     ap = np.zeros(n)
@@ -231,11 +263,12 @@ def _mix(weights, samples):
 
 
 def _refined(weights, samples) -> RefinedEstimate:
-    """Coarse, fine and paired-difference estimates from (2, n) leg samples."""
+    """Coarse, fine, paired-difference and Richardson estimates from (2, n) leg samples."""
     coarse = _mix(weights, [x[0] for x in samples])
     fine = _mix(weights, [x[1] for x in samples])
     diff = _mix(weights, [x[0] - x[1] for x in samples])
-    return RefinedEstimate(*coarse, *fine, *diff)
+    richardson = _mix(weights, [2.0 * x[1] - x[0] for x in samples])
+    return RefinedEstimate(*coarse, *fine, *diff, *richardson)
 
 
 def _kernel_args(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics):
@@ -326,14 +359,15 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     Independent runs at the two step sizes differ by sampling noise of the
     order of their standard errors, which hides any discretisation bias
     smaller than that. Here each path index drives both step sizes with one
-    Brownian path: unit normals on the grid of the fine leg's step,
-    restarted at every opportunity arrival, each step summing the units it
-    spans, plus one draw for the partial unit before an arrival or the
-    horizon. Arrival times come from the same exponential stream as
+    Brownian path: the legs step in lockstep, each pass taking two fine
+    steps driven by one normal each and one coarse step driven by their
+    sum, all clipped at the next opportunity arrival or the horizon.
+    Arrival times come from the same exponential stream as
     estimate_values. The two legs then stay within a small distance of each
     other path by path, and the standard error of the paired difference
     V(dt) - V(dt/2) measures the bias itself rather than the spread of the
-    payoffs.
+    payoffs. Each estimate also carries the Richardson value
+    2 V(dt/2) - V(dt), from the same paths.
 
     Both legs advance through the same step function as estimate_values,
     so the check covers the scheme that produces the reported values.

@@ -117,6 +117,13 @@ def test_config_validation_errors(tmp_path):
                  "--set", "command.n_paths=2.5"]) == 1
 
 
+def test_simulate_rejects_unbounded_cap(tmp_path, fig_config, capsys):
+    # an infinite cap overflowed the table size with a traceback
+    assert main(["simulate", "--config", fig_config, "--out", str(tmp_path), "--grid", "1001",
+                 "--set", "command.z_cap=Infinity"]) == 1
+    assert "z_cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--seed", "3")])
 def test_solve_rejects_flags_it_does_not_read(tmp_path, fig_config, flag, value):
     with pytest.raises(SystemExit) as exc:

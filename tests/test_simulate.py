@@ -31,6 +31,11 @@ def fig_report(fig_eq):
                            with_diagnostic=False)
 
 
+@pytest.fixture(scope="module")
+def fig_refinement(fig_eq):
+    return dt_refinement(fig_eq, SimConfig(p0=0.3, n_paths=20_000, seed=2))
+
+
 def test_config_validation(fig_eq):
     with pytest.raises(ValueError):
         SimConfig(p0=0.3, dt=1.0).resolve(FIG)       # too coarse
@@ -51,6 +56,16 @@ def test_config_validation(fig_eq):
     for name in ("n_paths", "batch"):
         with pytest.raises(ValueError, match=name):
             SimConfig(p0=0.3, **{name: 2.5}).resolve(FIG)
+    # a cap past z = 37, where the belief rounds to 1, asks for a table too
+    # large to build or overflows its size
+    for bad in (37.5, 1e5, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="z_cap"):
+            SimConfig(p0=0.3, z_cap=bad).resolve(FIG)
+    # a probe time that is not finite never captures the probe, and one
+    # before the start captures p0 itself
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_probe"):
+            SimConfig(p0=0.3, t_probe=bad).resolve(FIG)
 
 
 def _interp_reference(a_tab, z_lo, inv_dz, zv):
@@ -130,6 +145,34 @@ def test_lamperti_table(fig_eq, regime):
     f = 1.0 / (FIG.psi * (1.0 - mg.eval_agent(sol, zq)[0]))
     quad = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * (zq[1] - zq[0]))])
     assert np.max(np.abs(to_x(zq) - x_cap[0] - quad)) < 1e-6
+
+
+@pytest.mark.parametrize("pars", [FIG.with_(psi=5.0), FIG.with_(r1=0.15, r2=0.15)],
+                         ids=["psi5", "patience0.3"])
+def test_lamperti_table_near_full_mimicking(pars):
+    # where the peak intensity is within 1e-4 to 1e-6 of 1, X(z) is steep
+    # near the cutoff; each node's z must still map back to the node, in
+    # order
+    from mimicgame.model import Numerics
+    from mimicgame.simulate import _lamperti
+    eq = mg.solve_equilibrium(pars)
+    cfg = SimConfig(p0=0.3).resolve(pars)
+    to_x, tab, x_cap = _lamperti(eq, cfg, Numerics())
+    nodes = np.linspace(*x_cap, tab.shape[1])
+    assert np.all(np.diff(tab[0]) >= 0.0)
+    assert np.max(np.abs(to_x(tab[0]) - nodes)) < 1e-9
+
+
+def test_lamperti_table_unresolvable_peak():
+    # at psi = 10, 1 - a_peak is about 3e-23: no double places X near the
+    # cutoff, and the table says so rather than fold back on itself
+    from mimicgame.model import Numerics
+    from mimicgame.principal import ConvergenceError
+    from mimicgame.simulate import _lamperti
+    pars = FIG.with_(psi=10.0)
+    eq = mg.solve_equilibrium(pars)
+    with pytest.raises(ConvergenceError, match="1 - a_peak"):
+        _lamperti(eq, SimConfig(p0=0.3).resolve(pars), Numerics())
 
 
 def test_determinism_bit_identical(fig_eq):
@@ -269,14 +312,23 @@ def test_discount_factor_ordering():
     assert np.allclose(d2, d1 ** (pars.r2 / pars.r1), rtol=1e-9)
 
 
-def test_dt_refinement_within_one_se(fig_eq):
+def test_dt_refinement_within_one_se(fig_refinement):
     # the dt and dt/2 legs share one Brownian path per path index, so the
     # paired difference carries the step-size bias without the payoff noise;
     # adding 4 se(d) makes this stricter than |coarse - fine| < se + se
-    cfg = SimConfig(p0=0.3, n_paths=20_000, seed=2)
-    ref = dt_refinement(fig_eq, cfg)
+    ref = fig_refinement
     for est in (ref.agent, ref.principal):
         assert abs(est.diff_mean) + 4 * est.diff_se < est.coarse_se + est.fine_se
+
+
+def test_dt_refinement_legs_match_closed_form(fig_eq, fig_refinement):
+    # the paired difference cannot see a bias that both legs share; each leg
+    # against the closed-form values can
+    _, v_cf = mg.eval_agent(fig_eq.agent, logit(0.3))
+    w_cf = float(fig_eq.W.at(0.3))
+    for est, closed_form in ((fig_refinement.agent, v_cf), (fig_refinement.principal, w_cf)):
+        assert abs(est.coarse_mean - closed_form) < 4 * est.coarse_se
+        assert abs(est.fine_mean - closed_form) < 4 * est.fine_se
 
 
 def test_dt_refinement_exact_when_coefficients_constant():
@@ -289,6 +341,7 @@ def test_dt_refinement_exact_when_coefficients_constant():
     for est in (ref.agent, ref.principal):
         assert est.coarse_se > 0.0
         assert abs(est.diff_mean) < 1e-12
+        assert abs(est.richardson_mean - est.coarse_mean) < 1e-12
 
 
 def test_censoring_negligible(fig_report):
