@@ -31,7 +31,13 @@ from per-path counter-based Philox streams keyed by (seed, type tag, path
 index), consumed one normal per diffusion step (per fine step in the
 coupled run) and one exponential per opportunity arrival, so a path's
 trajectory depends neither on the row it runs in, nor on the width of the
-pool, nor on the types that share it.
+pool, nor on the types that share it. Each kernel runs the contiguous
+range of path indices from path_offset, so a run split into ranges gives
+the rows of the whole run bit for bit. simulate splits each call into
+such shares, one per usable core: the first runs in the calling process
+and the others in forked children, or all of the call runs in process
+where fork is unavailable. The kernels themselves know nothing of
+processes.
 
 Paths freeze once X reaches either end of the table, the images of -z_cap
 and z_cap, after which their fate is deterministic and closed in one shot.
@@ -265,7 +271,7 @@ def _stepper(dt, r1, r2):
 
 
 def run_main(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_cap,
-             t_probe, tab, n_paths, seed, tag, batch, path_offset):
+             t_probe, tab, n_paths, seed, tag, batch, path_offset=0):
     """Simulate n_paths of each agent type in one pool.
 
     drift_sign and tag hold one entry per type: +1.0 for the noninvestible
@@ -355,12 +361,13 @@ def run_main(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_cap,
 
 
 def run_coupled(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_cap,
-                tab, n_paths, seed, tag, batch):
+                tab, n_paths, seed, tag, batch, path_offset=0):
     """Simulate n_paths of each agent type at dt and at dt/2 on shared Brownian paths.
 
     drift_sign, tag, tab and x_cap are as in run_main. Returns shape
     (types, 2, n_paths, 5): leg 0 at dt, leg 1 at dt/2, columns (T,
-    stopped, pay, e^{-r1 T}, e^{-r2 T}). The legs move in lockstep on the
+    stopped, pay, e^{-r1 T}, e^{-r2 T}); path j is the one with stream
+    index path_offset + j, as in run_main. The legs move in lockstep on the
     row's clock: each pass draws two normals per row, then takes one coarse
     step over h and two fine steps over h1 and h2, with h1 + h2 = h, all
     clipped at the next arrival or the horizon. Each fine step is driven by
@@ -396,8 +403,8 @@ def run_coupled(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_c
         r, q = pool.take(free)
         kind, j, pool.sgn[r] = _queue_rows(q, n_paths, drift_sign)
         for i, k, jj in zip(r, kind, j):
-            pool.gens_n[i] = _gen(seed, tag[k], int(jj), 0)
-            pool.gens_e[i] = _gen(seed, tag[k], int(jj), 1)
+            pool.gens_n[i] = _gen(seed, tag[k], path_offset + int(jj), 0)
+            pool.gens_e[i] = _gen(seed, tag[k], path_offset + int(jj), 1)
         pool.t[r] = 0.0; pool.npos[r] = _CHUNK_N; pool.epos[r] = _CHUNK_E
         _next_arrivals(pool, r, 0.0, echunk, exp_scale)
         pool.x[:, r] = x0; pool.d1[:, r] = 1.0; pool.d2[:, r] = 1.0; pool.pay[:, r] = 0.0
@@ -451,7 +458,7 @@ def run_coupled(x0, x_star, drift_sign, psi, r1, r2, u, c, lam, dt, horizon, x_c
 
 
 def run_diag(x0, x_int, psi, r1, a_thresh, dt, horizon, tab, x_cap, n_paths, seed, tag,
-             batch):
+             batch, path_offset=0):
     """Noninvestible run stopped at interval exit; columns (T, exited, e^{-r1 tau}, low-mimic integral).
 
     x_int = (lo, hi) is the interval in X, and tab and x_cap are as in
@@ -462,8 +469,8 @@ def run_diag(x0, x_int, psi, r1, a_thresh, dt, horizon, tab, x_cap, n_paths, see
     horizon. exited is the probability that the path left by T, e^{-r1 tau}
     the expected discount at its exit, the horizon counting as the exit of
     the mass still inside there, and each step adds its low-mimic gain
-    weighted by the w that survives it. At most batch paths are in flight
-    at once.
+    weighted by the w that survives it. Row j is the path with stream index
+    path_offset + j. At most batch paths are in flight at once.
     """
     half_psi = 0.5 * psi
     lo, hi = x_int
@@ -485,7 +492,7 @@ def run_diag(x0, x_int, psi, r1, a_thresh, dt, horizon, tab, x_cap, n_paths, see
     def admit(free):
         r, j = pool.take(free)
         for i, jj in zip(r, j):
-            pool.gens_n[i] = _gen(seed, tag, int(jj), 0)
+            pool.gens_n[i] = _gen(seed, tag, path_offset + int(jj), 0)
         pool.t[r] = 0.0; pool.x[r] = x0; pool.a[r] = a0; pool.ap[r] = ap0
         pool.d1[r] = 1.0; pool.low[r] = 0.0; pool.w[r] = 1.0; pool.disc[r] = 0.0
         pool.npos[r] = _CHUNK_N

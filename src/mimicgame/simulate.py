@@ -10,10 +10,24 @@ where it diffuses at unit volatility (Kloeden & Platen 1992, section
 uniform X grid. Type-conditioned runs combine into unconditional
 estimates with prior weights. Both types run in one pool of in-flight
 paths, whose width and type mix do not change any result.
+
+Each kernel call runs in shares: contiguous ranges of each type's path
+indices, one per usable core, each of at least _MIN_SHARE paths. Share 0
+runs in the calling process; every other share runs in a forked child
+that sends its array back through a one-way pipe, and the parent joins
+every child (terminating them first if anything fails) and joins the
+arrays on the path axis. Every path draws from its own Philox stream, so
+the result is the one-process result bit for bit. The shares split
+cfg.batch between them, so at most cfg.batch paths are in flight over
+all processes. Where os.fork or os.sched_getaffinity is unavailable,
+where the process runs other threads, or where a run is too small to gain
+from a second share, the call runs in one share in process.
 """
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +45,8 @@ _NEWTON_MAXIT = 60       # safeguarded Newton steps allowed to place the table's
 _X_TOL = 1e-9            # largest miss in X of a placed node
 _Z_CAP_MAX = 37.0
 _BOTH = (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE)
+_MAX_PATHS = 2**47       # path indices below this keep (tag << 48) + 2 idx + stream unique
+_MIN_SHARE = 200         # fewest paths per type in a share; measured, see _share_count
 
 
 @dataclass(frozen=True)
@@ -44,8 +60,8 @@ class SimConfig:
     horizon: float | None = None     # defaults to 20 / min(r1, r2)
     z_cap: float = 12.0
     t_probe: float = 1.0
-    batch: int = 4096                # paths in flight at most, over both types; results
-                                     # do not depend on it
+    batch: int = 4096                # at most this many paths in flight over both types
+                                     # and all shares; results do not depend on it
 
     def resolve(self, params: GameParams) -> "SimConfig":
         dt = self.dt if self.dt is not None else 0.01 / max(1.0, params.psi**2)
@@ -74,6 +90,9 @@ class SimConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        # the seed is the first word of every Philox key
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -291,12 +310,99 @@ def _martingale(cfg: SimConfig, res_ni, res_i) -> MartingaleResult:
     return MartingaleResult(gap=abs(mix - cfg.p0), se=se, mixture_mean=mix)
 
 
+class ShareError(RuntimeError):
+    """A forked share of a Monte Carlo run ended without sending its paths."""
+
+
+def _share_count(n_paths):
+    """Shares for a run of n_paths per type: one per usable core, each of at least _MIN_SHARE.
+
+    A run's passes carry a fixed cost that does not shrink with the pool,
+    so small shares do not pay for their fork. At fig1 on a 2-core x86 VM,
+    two shares of 100 paths per type were as often slower as faster than
+    one process, and two of 200 saved 10 to 15% on each of the three calls
+    (40% on estimate_values at 4608 paths per type). A process with other
+    threads runs one share: a forked child gets only the calling thread,
+    and any lock another thread held stays locked there.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_paths // _MIN_SHARE))
+
+
+def _share_main(send, run, lo, n):
+    """A forked share's body: run paths [lo, lo + n) and send (True, array) or (False, error)."""
+    try:
+        msg = (True, run(lo, n))
+    except Exception as exc:
+        msg = (False, exc)
+    send.send(msg)
+    send.close()
+
+
+def _in_shares(kernel, axis, n_paths, batch, path_offset=0, shares=None, **kwargs):
+    """_simkernels.<kernel> over paths [path_offset, path_offset + n_paths), in shares.
+
+    The shares are contiguous ranges of the path indices, as even as they
+    can be, each run with batch // shares rows; their arrays join on axis,
+    the kernel's path axis. shares defaults to _share_count(n_paths) and is
+    cut to leave no share without paths or rows. Share 0 runs here, every
+    other share in a forked child; the kernel is looked up by name in each,
+    so a wrapped kernel is the one that runs. An error here terminates the
+    children; a child's exception is raised here, and a child that dies
+    without sending raises ShareError with its exit code. Every child is
+    joined before this returns or raises.
+    """
+    assert path_offset + n_paths <= _MAX_PATHS, "path index beyond the Philox key's range"
+    shares = min(_share_count(n_paths) if shares is None else shares, n_paths, batch)
+    cuts = [path_offset + n_paths * k // shares for k in range(shares + 1)]
+    ranges = [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    width = batch // shares
+
+    def run(lo, n):
+        return getattr(_simkernels, kernel)(**kwargs, n_paths=n, batch=width, path_offset=lo)
+
+    if shares == 1:
+        return run(*ranges[0])
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, n in ranges[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_share_main, args=(send, run, lo, n), daemon=True)
+            child.start()
+            send.close()        # so that recv sees EOF if the child dies
+            children.append((child, recv))
+        parts = [run(*ranges[0])]
+        for k, (child, recv) in enumerate(children, 1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise ShareError(f"Monte Carlo share {k} of {shares} exited with code "
+                                 f"{child.exitcode} before sending its paths") from None
+            if not ok:
+                raise value
+            parts.append(value)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return np.concatenate(parts, axis=axis)
+
+
 def _run_types(eq: Equilibrium, cfg: SimConfig, agent_types, num: Numerics,
                n_paths=None, path_offset=0):
     """Runs of agent_types in one pool; result[k] holds agent_types[k]'s paths."""
-    return _simkernels.run_main(
-        **_kernel_args(eq, cfg, agent_types, num), t_probe=cfg.t_probe,
-        n_paths=cfg.n_paths if n_paths is None else n_paths, path_offset=path_offset)
+    return _in_shares("run_main", 1, **_kernel_args(eq, cfg, agent_types, num),
+                      t_probe=cfg.t_probe, n_paths=cfg.n_paths if n_paths is None else n_paths,
+                      path_offset=path_offset)
 
 
 def simulate_path(eq: Equilibrium, agent_type: str, cfg: SimConfig,
@@ -304,6 +410,8 @@ def simulate_path(eq: Equilibrium, agent_type: str, cfg: SimConfig,
     """Run the single path identified by path_index and return its record."""
     if agent_type not in (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE):
         raise ValueError("agent_type must be 'NI' or 'I'")
+    if not (isinstance(path_index, numbers.Integral) and 0 <= path_index < _MAX_PATHS):
+        raise ValueError(f"path_index must be an integer in [0, 2**47), got {path_index!r}")
     cfg = cfg.resolve(eq.params)
     rec = _run_types(eq, cfg, (agent_type,), num, n_paths=1, path_offset=path_index)
     t, stopped, pay, d1, d2, zpr = rec[0, 0]
@@ -377,8 +485,8 @@ def dt_refinement(eq: Equilibrium, cfg: SimConfig,
     """
     cfg = cfg.resolve(eq.params)
     p = eq.params
-    res_ni, res_i = _simkernels.run_coupled(**_kernel_args(eq, cfg, _BOTH, num),
-                                            n_paths=cfg.n_paths)
+    res_ni, res_i = _in_shares("run_coupled", 2, **_kernel_args(eq, cfg, _BOTH, num),
+                               n_paths=cfg.n_paths)
     pay = res_ni[..., 2]
     lump = (_lump(res_ni, p.w_NI), _lump(res_i, p.w_I))
     return RefinementReport(
@@ -418,8 +526,8 @@ def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
     p = eq.params
     to_x, tab, x_cap = _lamperti(eq, cfg, num)
     x0, x_a, x_b = to_x([logit(cfg.p0), logit(lo), logit(hi)])
-    res = _simkernels.run_diag(
-        x0=float(x0), x_int=(float(x_a), float(x_b)), psi=p.psi, r1=p.r1,
+    res = _in_shares(
+        "run_diag", 0, x0=float(x0), x_int=(float(x_a), float(x_b)), psi=p.psi, r1=p.r1,
         a_thresh=1.0 - eps, dt=cfg.dt, horizon=cfg.horizon, tab=tab, x_cap=x_cap,
         n_paths=cfg.n_paths, seed=cfg.seed, tag=_TAG_DIAG, batch=cfg.batch)
     vals = res[:, 3]

@@ -124,6 +124,17 @@ def test_simulate_rejects_unbounded_cap(tmp_path, fig_config, capsys):
     assert "z_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "command.seed=2.5"]])
+def test_simulate_rejects_bad_seed(tmp_path, fig_config, capsys, args):
+    # -1 overflowed in the kernels with a traceback; 2.5 ran seed 2's streams
+    # and recorded seed 2.5
+    assert main(["simulate", "--config", fig_config, "--out", str(tmp_path), "--grid", "1001",
+                 "--set", "command.n_paths=10"] + args) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "seed" in err
+    assert not (tmp_path / "sim_report.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--seed", "3")])
 def test_solve_rejects_flags_it_does_not_read(tmp_path, fig_config, flag, value):
     with pytest.raises(SystemExit) as exc:

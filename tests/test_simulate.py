@@ -1,6 +1,12 @@
 """Monte Carlo machinery: determinism, degenerate cases, closed-form checks."""
 
+import functools
 import math
+import multiprocessing
+import os
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +72,12 @@ def test_config_validation(fig_eq):
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="t_probe"):
             SimConfig(p0=0.3, t_probe=bad).resolve(FIG)
+    # the seed is the first word of every Philox key: -1 overflowed in the
+    # kernels, and 2.5 ran seed 2's streams
+    for bad in (-1, 2**64, 2.5, math.nan, "7", None):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(p0=0.3, seed=bad).resolve(FIG)
+    assert SimConfig(p0=0.3, seed=2**64 - 1).resolve(FIG).seed == 2**64 - 1
 
 
 def _interp_reference(a_tab, z_lo, inv_dz, zv):
@@ -234,6 +246,125 @@ def test_pool_refill_keeps_path_index(fig_eq):
         assert alone.tobytes() == coupled[0][k].tobytes()
     for x in diag[1:]:
         assert x.tobytes() == diag[0].tobytes()
+
+
+def _forced_shares(monkeypatch, shares):
+    """Run every kernel call of simulate in the given number of shares."""
+    from mimicgame import simulate
+    monkeypatch.setattr(simulate, "_in_shares",
+                        functools.partial(simulate._in_shares, shares=shares))
+
+
+def test_shares_bit_identical(fig_eq, monkeypatch):
+    # every path draws from its own streams, so running a call's paths in
+    # shares, one process each, changes no bit: on an uneven split, and with
+    # more shares than paths
+    cfg = SimConfig(p0=0.4, n_paths=701, seed=5, horizon=10.0)
+    tiny = replace(cfg, n_paths=2)
+    runs = {}
+    for shares in (1, 2, 3):
+        _forced_shares(monkeypatch, shares)
+        for c in (cfg, tiny):
+            runs[shares, c.n_paths] = (estimate_values(fig_eq, c, with_diagnostic=False),
+                                       learning_diagnostic(fig_eq, c, eps=0.1),
+                                       dt_refinement(fig_eq, c))
+    for shares in (2, 3):
+        for n in (701, 2):
+            assert runs[shares, n] == runs[1, n]
+
+
+def test_kernel_path_offset_rows(fig_eq):
+    # a kernel run from path_offset k gives rows k: of the run from 0, byte
+    # for byte, on the path axis of each kernel's output; so does that run
+    # in shares
+    from mimicgame import _simkernels
+    from mimicgame.model import Numerics
+    from mimicgame.simulate import _in_shares, _kernel_args, _lamperti
+    cfg = SimConfig(p0=0.4, n_paths=40, seed=5, horizon=10.0, batch=16).resolve(FIG)
+    args = _kernel_args(fig_eq, cfg, ("NI", "I"), Numerics())
+    to_x = _lamperti(fig_eq, cfg, Numerics())[0]
+    x0, x_a, x_b = to_x([logit(0.4), logit(0.05), logit(0.95)])
+    diag_args = dict(x0=x0, x_int=(x_a, x_b), psi=FIG.psi, r1=FIG.r1, a_thresh=0.9,
+                     dt=cfg.dt, horizon=cfg.horizon, tab=args["tab"], x_cap=args["x_cap"],
+                     seed=5, tag=2, batch=16)
+    for kernel, axis, kw in (("run_main", 1, dict(args, t_probe=cfg.t_probe)),
+                             ("run_coupled", 2, args), ("run_diag", 0, diag_args)):
+        run = getattr(_simkernels, kernel)
+        full = run(**kw, n_paths=40)
+        for k in (1, 17):
+            rows = np.take(full, np.arange(k, 40), axis=axis).tobytes()
+            assert run(**kw, n_paths=40 - k, path_offset=k).tobytes() == rows
+            shared = _in_shares(kernel, axis, **kw, n_paths=40 - k, path_offset=k, shares=3)
+            assert shared.tobytes() == rows
+
+
+def test_shares_leave_no_process(fig_eq, monkeypatch):
+    # the children of a call in shares are joined when it returns, when a
+    # kernel raises in the parent or in a child, and when a child dies
+    from mimicgame import _simkernels
+    from mimicgame.simulate import ShareError
+    _forced_shares(monkeypatch, 2)
+    cfg = SimConfig(p0=0.4, n_paths=20, seed=5, horizon=5.0)
+    diag = functools.partial(learning_diagnostic, fig_eq, cfg, eps=0.1)
+    ok = diag()
+    assert multiprocessing.active_children() == []
+    run_diag = _simkernels.run_diag
+
+    def fails(**kw):
+        raise ValueError("kernel failed")
+
+    def fails_in_child(**kw):
+        if kw["path_offset"] > 0:
+            raise ValueError("child failed")
+        return run_diag(**kw)
+
+    def fails_while_child_hangs(**kw):
+        if kw["path_offset"] > 0:
+            time.sleep(60)
+        raise ValueError("parent failed")
+
+    def child_dies(**kw):
+        if kw["path_offset"] > 0:
+            os._exit(3)
+        return run_diag(**kw)
+
+    def hung(signum, frame):
+        raise TimeoutError("a call in shares did not return")
+
+    # a call that waits on a child it failed to end fails here instead of hanging
+    old_handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        for kernel, error, match in ((fails, ValueError, "kernel failed"),
+                                     (fails_in_child, ValueError, "child failed"),
+                                     (fails_while_child_hangs, ValueError, "parent failed"),
+                                     (child_dies, ShareError, "code 3")):
+            monkeypatch.setattr(_simkernels, "run_diag", kernel)
+            with pytest.raises(error, match=match):
+                diag()
+            assert multiprocessing.active_children() == []
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+    monkeypatch.setattr(_simkernels, "run_diag", run_diag)
+    assert diag() == ok
+
+
+def test_share_count():
+    # one share per core, each of at least _MIN_SHARE paths, and one share in
+    # a process with other threads, which a forked child would not have
+    from mimicgame.simulate import _MIN_SHARE, _share_count
+    assert _share_count(_MIN_SHARE - 1) == 1
+    assert _share_count(1000 * _MIN_SHARE) == len(os.sched_getaffinity(0))
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _share_count(1000 * _MIN_SHARE) == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def test_frozen_belief_degenerate_case():
@@ -428,3 +559,13 @@ def test_simulate_path_types(fig_eq):
     assert 0 < rec_ni.p_probe < 1
     with pytest.raises(ValueError):
         simulate_path(fig_eq, "X", cfg)
+
+
+def test_simulate_path_index_validation(fig_eq):
+    # the stream key (tag << 48) + 2 idx + stream holds indices below 2**47:
+    # -1 overflowed, 2.5 ran, and 2**47 replayed investible path 0
+    cfg = SimConfig(p0=0.4, n_paths=1, seed=17)
+    for bad in (-1, 2.5, 2**47, "3"):
+        with pytest.raises(ValueError, match="path_index"):
+            simulate_path(fig_eq, "NI", cfg, path_index=bad)
+    assert simulate_path(fig_eq, "NI", cfg, path_index=2**47 - 1).stop_time > 0.0
