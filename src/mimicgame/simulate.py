@@ -318,10 +318,13 @@ def _share_count(n_paths):
     """Shares for a run of n_paths per type: one per usable core, each of at least _MIN_SHARE.
 
     A run's passes carry a fixed cost that does not shrink with the pool,
-    so small shares do not pay for their fork. At fig1 on a 2-core x86 VM,
-    two shares of 100 paths per type were as often slower as faster than
-    one process, and two of 200 saved 10 to 15% on each of the three calls
-    (40% on estimate_values at 4608 paths per type). A process with other
+    so small shares do not pay for their fork. At fig1 on a 2-core x86 VM
+    (three runs, best of 3 or 5 per call), two shares of 100 paths per type
+    were as often slower as faster than one process, and two of 200 were
+    about even (3% faster on average, from 12% faster to 11% slower on a
+    call). Two of 400 to 1600 saved 10 to 30% on estimate_values and
+    dt_refinement; learning_diagnostic, whose every share runs to the
+    horizon, gained up to 18% and lost on some calls. A process with other
     threads runs one share: a forked child gets only the calling thread,
     and any lock another thread held stays locked there.
     """
@@ -432,6 +435,8 @@ def estimate_values(eq: Equilibrium, cfg: SimConfig, num: Numerics = Numerics(),
     path), so reports are reproducible bit for bit.
     """
     cfg = cfg.resolve(eq.params)
+    if with_diagnostic:
+        _check_diagnostic(cfg, eps, interval)
     p = eq.params
     res_ni, res_i = _run_types(eq, cfg, _BOTH, num)
 
@@ -504,6 +509,15 @@ def martingale_check(eq: Equilibrium, cfg: SimConfig, t_probe: float,
     return _martingale(cfg, *_run_types(eq, cfg, _BOTH, num))
 
 
+def _check_diagnostic(cfg: SimConfig, eps, interval):
+    """Raise ValueError unless eps and interval suit learning_diagnostic at cfg.p0."""
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    lo, hi = interval
+    if not (0.0 < lo < cfg.p0 < hi < 1.0):
+        raise ValueError("interval must strictly contain p0 inside (0, 1)")
+
+
 def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
                         interval=(0.05, 0.95),
                         num: Numerics = Numerics()) -> LearningDiagnostic:
@@ -517,11 +531,8 @@ def learning_diagnostic(eq: Equilibrium, cfg: SimConfig, eps: float,
     horizon as the exit of a path still inside there, and exited_frac is
     the mean probability that a path has left by the end of its run.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    _check_diagnostic(cfg, eps, interval)
     lo, hi = interval
-    if not (0.0 < lo < cfg.p0 < hi < 1.0):
-        raise ValueError("interval must strictly contain p0 inside (0, 1)")
     cfg = cfg.resolve(eq.params)
     p = eq.params
     to_x, tab, x_cap = _lamperti(eq, cfg, num)

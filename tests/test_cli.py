@@ -135,6 +135,21 @@ def test_simulate_rejects_bad_seed(tmp_path, fig_config, capsys, args):
     assert not (tmp_path / "sim_report.json").exists()
 
 
+@pytest.mark.parametrize("arg", ["command.eps=0", "command.interval=[0.5,0.95]"])
+def test_simulate_checks_diagnostic_before_paths(tmp_path, fig_config, capsys, monkeypatch, arg):
+    # a bad eps or interval failed only after the main pool had run its paths
+    from mimicgame import simulate
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a Monte Carlo kernel ran")
+
+    monkeypatch.setattr(simulate, "_in_shares", no_kernel)
+    assert main(["simulate", "--config", fig_config, "--out", str(tmp_path), "--grid", "1001",
+                 "--set", arg]) == 1
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "sim_report.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--seed", "3")])
 def test_solve_rejects_flags_it_does_not_read(tmp_path, fig_config, flag, value):
     with pytest.raises(SystemExit) as exc:

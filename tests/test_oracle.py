@@ -63,7 +63,12 @@ def test_separating_case_matches():
     gap_v, gap_w = _gaps(de, eq, pars)
     assert gap_v < 0.02
     assert gap_w < 0.02
-    assert de.a.max() < 0.08  # residual mixing near the cutoff shrinks with delta
+    # the continuous game does not mix at r1 = 2, and the oracle at this delta
+    # stays close to that policy: max a reads 0.0086 here. Its residual mixing
+    # near the cutoff grows as delta shrinks (0 at 1e-2, 0.043 at 2e-3, where
+    # the outer iteration stops at its round cap), so the bound holds only at
+    # a delta this coarse
+    assert de.a.max() < 0.08
 
 
 def test_delta_refinement_improves():

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimicgame as mg
 from mimicgame.model import GameParams, logit
@@ -296,6 +298,94 @@ def test_kernel_path_offset_rows(fig_eq):
             assert run(**kw, n_paths=40 - k, path_offset=k).tobytes() == rows
             shared = _in_shares(kernel, axis, **kw, n_paths=40 - k, path_offset=k, shares=3)
             assert shared.tobytes() == rows
+
+
+def test_block_length_changes_no_bit(fig_eq, monkeypatch):
+    # every live row draws a block of normals at the block's first pass and
+    # a row admitted mid-block draws the rest of it; a pool of 8 rows over
+    # 40 paths of each type admits rows mid-block, and each kernel gives the
+    # same bytes at any block length, alone and, at a block of 3 passes, in
+    # 3 shares
+    from mimicgame import _simkernels
+    from mimicgame.model import Numerics
+    from mimicgame.simulate import _in_shares, _kernel_args, _lamperti
+    cfg = SimConfig(p0=0.4, n_paths=40, seed=5, horizon=3.0, batch=8).resolve(FIG)
+    args = _kernel_args(fig_eq, cfg, ("NI", "I"), Numerics())
+    to_x = _lamperti(fig_eq, cfg, Numerics())[0]
+    x0, x_a, x_b = to_x([logit(0.4), logit(0.05), logit(0.95)])
+    diag_args = dict(x0=x0, x_int=(x_a, x_b), psi=FIG.psi, r1=FIG.r1, a_thresh=0.9,
+                     dt=cfg.dt, horizon=cfg.horizon, tab=args["tab"], x_cap=args["x_cap"],
+                     seed=5, tag=2, batch=8)
+    calls = (("run_main", 1, dict(args, t_probe=cfg.t_probe)), ("run_coupled", 2, args),
+             ("run_diag", 0, diag_args))
+    runs = {}
+    for block in (1, 3, _simkernels._BLOCK):
+        monkeypatch.setattr(_simkernels, "_BLOCK", block)
+        for kernel, axis, kw in calls:
+            alone = getattr(_simkernels, kernel)(**kw, n_paths=40).tobytes()
+            if block == 3:
+                assert _in_shares(kernel, axis, **kw, n_paths=40, shares=3).tobytes() == alone
+            runs.setdefault(kernel, []).append(alone)
+    for kernel, arrays in runs.items():
+        assert arrays[0] == arrays[1] == arrays[2], kernel
+
+
+def _steps(t, dt):
+    """Clocks from t by full steps of dt, added one at a time as the kernels add them."""
+    while True:
+        yield t
+        t = t + dt
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(dt=st.one_of(st.sampled_from([0.01 / 2.25, 1e-3, 2.0**-8, 3.3e-3]), st.floats(1e-4, 0.1)),
+       t0=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e9)),
+       arr_steps=st.integers(0, 200), arr_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       on_clock=st.booleans(), horizon_steps=st.floats(0.0, 220.0),
+       probe_steps=st.one_of(st.none(), st.floats(-5.0, 220.0)))
+def test_stop_schedule_never_late(dt, t0, arr_steps, arr_frac, on_clock, horizon_steps,
+                                  probe_steps):
+    # a row whose clock t0 steps by dt is due for its stop checks no later
+    # than the first pass at which the exact rule cuts its coarse step or
+    # either fine half-step, or captures the probe: arrivals a whole number
+    # of steps away (on the row's own clock when on_clock) included, and
+    # probe_steps None for a probe already captured
+    from mimicgame._simkernels import _scheduler, _stepper
+    clocks = _steps(t0, dt)
+    arr = [next(clocks) for _ in range(arr_steps + 1)][-1] if on_clock else t0 + arr_steps * dt
+    arr = arr + arr_frac * dt
+    horizon = t0 + horizon_steps * dt
+    t_probe = None if probe_steps is None else t0 + probe_steps * dt
+    stop = min(arr, horizon) if t_probe is None else min(arr, horizon, t_probe)
+    due = int(_scheduler(dt, horizon)(0, np.array([t0]), np.array([stop]))[0])
+    coarse, fine = _stepper(dt, 0.5, 0.5)[2], _stepper(0.5 * dt, 0.5, 0.5)[2]
+    for p, t in enumerate(_steps(t0, dt)):
+        tv, stops = np.array([t]), (np.array([arr]), horizon)
+        h1, lim1 = fine(tv, stops)
+        event = (coarse(tv, stops)[1][0] > 0 or lim1[0] > 0 or fine(tv + h1, stops)[1][0] > 0
+                 or (t_probe is not None and t >= t_probe))
+        if event:
+            break
+    # never late, and no more than a few passes early
+    assert due <= p <= due + 8
+
+
+def test_diagnostic_arguments_checked_before_paths(fig_eq, monkeypatch):
+    # estimate_values checked eps and interval only in learning_diagnostic,
+    # after its main pool had run; now neither call runs a kernel first
+    from mimicgame import simulate
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a Monte Carlo kernel ran")
+
+    monkeypatch.setattr(simulate, "_in_shares", no_kernel)
+    cfg = SimConfig(p0=0.3, n_paths=2000, seed=1)
+    for bad, match in ((dict(eps=0.0), "eps"), (dict(eps=math.nan), "eps"),
+                       (dict(interval=(0.5, 0.95)), "interval")):
+        with pytest.raises(ValueError, match=match):
+            estimate_values(fig_eq, cfg, **bad)
+        with pytest.raises(ValueError, match=match):
+            learning_diagnostic(fig_eq, cfg, **{"eps": 0.1, **bad})
 
 
 def test_shares_leave_no_process(fig_eq, monkeypatch):
