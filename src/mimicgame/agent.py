@@ -25,6 +25,7 @@ from .gaussian import (
     norm_isf_log,
 )
 from .model import GameParams, Numerics
+from .roots import itp_root
 
 REGIME_HUMP = "hump-shaped"
 REGIME_SEPARATING = "fully-separating"
@@ -34,26 +35,12 @@ class SeparatingRegimeError(ValueError):
     """Raised when a mixing-region quantity is requested but the agent never mixes."""
 
 
-def _bisect(f, lo, hi, num: Numerics, scale=1.0):
-    """Plain bisection; brackets are guaranteed by monotonicity upstream."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("no sign change on the supplied bracket")
-    for _ in range(num.root_maxit):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= num.root_tol * scale or hi - lo <= abs(mid) * 4e-16:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _root(f, lo, hi, num: Numerics, scale=1.0):
+    """Root of f on [lo, hi] to num.root_tol * scale in f, or to rounding in x;
+    brackets are guaranteed by monotonicity upstream."""
+    x, _, _ = itp_root(f, lo, hi, f(lo), f(hi), eps=2e-16 * max(abs(lo), abs(hi)),
+                       ftol=num.root_tol * scale, maxit=num.root_maxit)
+    return x
 
 
 def _r_star_residual(r, lam, psi, u_over_c):
@@ -77,7 +64,7 @@ def solve_r_star(params: GameParams, num: Numerics = Numerics()) -> float:
     lam, psi, uc = params.lam, params.psi, params.u / params.c
     scale = 4.0 * lam * (uc + 1.0)
     hi = 100.0 * lam * (uc + 1.0)
-    return _bisect(lambda r: _r_star_residual(r, lam, psi, uc), 0.0, hi, num, scale=scale)
+    return _root(lambda r: _r_star_residual(r, lam, psi, uc), 0.0, hi, num, scale=scale)
 
 
 def characteristic_roots(rate_sum: float, psi: float):
@@ -197,7 +184,7 @@ def solve_v_star(params: GameParams, num: Numerics = Numerics()) -> float:
         # log(1-a_-) - log(1-a_+) is increasing in x and crosses zero at v*
         return float(maps.log_one_minus_minus(x) - maps.log_one_minus_plus(x))
 
-    return _bisect(gap, maps.v_r, maps.v_l, num, scale=1.0)
+    return _root(gap, maps.v_r, maps.v_l, num)
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ class GameParams:
 class Numerics:
     """Single source of truth for tolerances and grid defaults."""
 
-    root_tol: float = 1e-12        # bisection residual target for scalar roots
-    root_maxit: int = 200
+    root_tol: float = 1e-12        # residual target of the scalar ITP roots, times their scale
+    root_maxit: int = 200          # cap on the evaluations of one scalar root
     grid_n: int = 4001             # principal ODE grid points
     p_min: float = 1e-4            # belief clamp; grids live in [p_min, 1-p_min]
     fp_tol: float = 1e-5           # |phi(p*) - p*| at the equilibrium fixed point

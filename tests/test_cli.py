@@ -27,6 +27,8 @@ def test_solve_outputs(tmp_path, fig_config):
     assert doc["regime"] == "hump-shaped"
     assert doc["p_star_star"] == pytest.approx(0.5, abs=1e-12)
     assert doc["p_H"] == pytest.approx(0.9, abs=1e-12)
+    # work counts: phi calls and the tridiagonal solves behind them
+    assert doc["diagnostics"]["linear_solves"] >= doc["diagnostics"]["iterations"] > 0
     for name in ("curve_a.csv", "curve_v.csv", "curve_W.csv"):
         text = (out / name).read_text()
         assert text.startswith("# mimicgame")

@@ -1,13 +1,20 @@
 """Principal grid solver, best reply, and the equilibrium fixed point."""
 
+import math
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mimicgame as mg
+from mimicgame import analysis
+from mimicgame.cli import load_config
 from mimicgame.model import GameParams, Numerics, benchmark_values, logit, myopic_cutoffs, termination_payoff
 from mimicgame.principal import best_reply_cutoff, solve_value_given_cutoff
 
 FIG = GameParams(r1=0.5, r2=0.5, lam=2.0, psi=1.5, u=1.0, c=1.0, w_NI=1.0, w_I=-1.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +232,80 @@ def test_equilibrium_when_belief_freezes_at_cutoff(pars, grid_n):
     w_under, w_over = benchmark_values(eq.W.states, pars)
     assert np.all(eq.W.values >= w_under - 1e-9)
     assert np.all(eq.W.values <= w_over + 1e-9)
+
+
+def _separating_cutoff(pars):
+    """The cutoff where the agent never mixes, in closed form.
+
+    W = A p^b+ (1-p)^(1-b+) below the cutoff and lam R/(r2+lam)
+    + B p^b- (1-p)^(1-b-) above it; value matching, C1 pasting and
+    W(p*) = R(p*) leave one linear equation for p*.
+    """
+    b_plus = 0.5 + math.sqrt(0.25 + 2.0 * pars.r2 / pars.psi**2)
+    b_minus = 0.5 - math.sqrt(0.25 + 2.0 * (pars.r2 + pars.lam) / pars.psi**2)
+    k = (pars.r2 + pars.lam) * b_plus - pars.r2 * b_minus
+    return -pars.w_I * k / ((pars.w_NI - pars.w_I) * k - pars.lam * pars.w_NI)
+
+
+@pytest.mark.parametrize("grid_n", [1001, 4001, 16001])
+@pytest.mark.parametrize("pars, p_exact", [
+    (FIG.with_(r1=2.0), 0.674246480),
+    (FIG.with_(r1=10.0), 0.674246480),
+    (FIG.with_(r1=10.0, lam=0.1), 0.526524338),
+], ids=["r1-2", "r1-10", "r1-10-lam-0.1"])
+def test_separating_cutoff_matches_closed_form(pars, p_exact, grid_n):
+    # a bisection that stops at |phi(p) - p| < fp_tol / 4 misses by up to 5.2e-7 here
+    assert _separating_cutoff(pars) == pytest.approx(p_exact, abs=1e-9)
+    eq = mg.solve_equilibrium(pars, grid_n=grid_n)
+    assert eq.agent.regime == mg.REGIME_SEPARATING
+    assert abs(eq.p_star - _separating_cutoff(pars)) < 2e-7
+
+
+def test_ladder_phi_calls(monkeypatch):
+    # phi calls of every solve the committed solver configs make: fig1, the
+    # two psi sweeps and the patience sweep; the counts are deterministic.
+    # Each bound is the count bisection made plus one; fig1's (bisection 16)
+    # is 9. Low-friction psi = 20 (bisection 20) is allowed 22: there phi is
+    # not monotone near the cutoff, the window |phi(p) - p| < fp_tol / 4 is
+    # far narrower than a grid cell, and one ITP step lands just outside it.
+    diags = []
+    solve = analysis.solve_equilibrium
+
+    def logged(*args, **kwargs):
+        eq = solve(*args, **kwargs)
+        diags.append(eq.diagnostics)
+        return eq
+
+    monkeypatch.setattr(analysis, "solve_equilibrium", logged)
+    params, num, _ = load_config(str(CONFIGS / "fig1.json"))
+    diags.append(mg.solve_equilibrium(params, num=num).diagnostics)
+    for name in ("sweep_psi_highfriction.json", "sweep_psi_lowfriction.json"):
+        params, num, cmd = load_config(str(CONFIGS / name))
+        rows = analysis.sweep_psi(params, cmd["psi_list"], cmd["probe_p"], num=num)
+        assert not any(r.error for r in rows)
+    params, num, cmd = load_config(str(CONFIGS / "sweep_patience.json"))
+    rows = analysis.sweep_patience(params, cmd["scale_list"], cmd["chi"], cmd["probes"], num=num)
+    assert not any(r.error for r in rows)
+
+    bounds = ([9]                              # fig1
+              + [15, 14, 15, 14, 15]           # high friction, psi 1 to 20
+              + [18, 17, 17, 20, 20, 22]       # low friction, psi 0.5 to 20
+              + [9, 19, 17, 19])               # patience 1 (fig1) to 0.03
+    assert all(d["iterations"] <= b for d, b in zip(diags, bounds, strict=True))
+    assert all(d["linear_solves"] >= d["iterations"] for d in diags)
+    # warm-started best replies: fig1 made 86 tridiagonal solves from cold starts
+    assert diags[0]["linear_solves"] <= 30
+
+
+def test_warm_started_best_reply_matches_cold():
+    # policy iteration from any cutoff in [p**, p_H] settles on the reply of
+    # the cold start from p**, and from that reply it confirms in one solve
+    agent = mg.build_agent_solution(FIG, logit(0.55))
+    h = (1.0 - 2.0 * Numerics.p_min) / (Numerics.grid_n - 1)
+    cold_work, warm_work = Counter(linear_solves=0), Counter(linear_solves=0)
+    cold, _ = best_reply_cutoff(agent, FIG, work=cold_work)
+    for start in (0.5, 0.56, 0.6, 0.9):
+        warm, _ = best_reply_cutoff(agent, FIG, start=start)
+        assert abs(warm - cold) < 2e-3 * h
+    best_reply_cutoff(agent, FIG, start=cold, work=warm_work)
+    assert warm_work["linear_solves"] == 1 < cold_work["linear_solves"]
