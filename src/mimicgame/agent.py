@@ -332,6 +332,26 @@ def raw_coefficients(sol: AgentSolution) -> dict:
             "log_abs_B1": math.log(sol._mag_b) - xi_r * z_r, "sign_B1": 1.0}
 
 
+def mixing_z_of_value(sol: AgentSolution, v):
+    """Logit state in the mixing region where the agent's value is v.
+
+    Inverts the quantile branches of _eval_hump in closed form: where
+    v > v_star, exp(z - z_star) = den_-(v) / den_-(v_star), elsewhere
+    exp(z - z_star) = den_+(v) / den_+(v_star), with den_-/den_+ the
+    boundary maps' denominators; both branches give z_star at v_star.
+    Meant for v in [v_R, v_L], which maps onto [z_L, z_R].
+    """
+    if sol.regime != REGIME_HUMP:
+        raise SeparatingRegimeError("the agent never mixes; no mixing region to invert")
+    maps = _Maps(sol.params)
+    v = np.asarray(v, dtype=float)
+    left = v > sol.v_star
+    log_ratio = np.empty(v.shape)
+    log_ratio[left] = maps.log_den_minus(v[left]) - sol._log_den_l
+    log_ratio[~left] = maps.log_den_plus(v[~left]) - sol._log_den_r
+    return sol.z_star + log_ratio
+
+
 def _eval_hump(sol: AgentSolution, zrel, want_derivs):
     p = sol.params
     r1, lam, psi, u, c = p.r1, p.lam, p.psi, p.u, p.c

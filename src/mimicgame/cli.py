@@ -176,7 +176,8 @@ def _cmd_solve(params, numerics, cblock, out: Path, args):
 
 
 def _cmd_simulate(params, numerics, cblock, out: Path, args):
-    eq = solve_equilibrium(params, grid_n=args.grid or numerics.grid_n, num=numerics)
+    numerics = dataclasses.replace(numerics, grid_n=args.grid or numerics.grid_n)
+    eq = solve_equilibrium(params, grid_n=numerics.grid_n, num=numerics)
     seed = args.seed if args.seed is not None else cblock.get("seed", numerics.mc_seed)
     sim = SimConfig(
         p0=cblock.get("p0", 0.3),
@@ -187,12 +188,13 @@ def _cmd_simulate(params, numerics, cblock, out: Path, args):
         z_cap=cblock.get("z_cap", 12.0),
         t_probe=cblock.get("t_probe", 1.0),
         batch=numerics.mc_batch,
-    )
+    ).resolve(params)
     eps = cblock.get("eps", 0.1)
     interval = tuple(cblock.get("interval", (0.05, 0.95)))
     rep = estimate_values(eq, sim, num=numerics, eps=eps, interval=interval)
     cfg = resolved_config(params, numerics, {
         "name": "simulate", "p0": sim.p0, "n_paths": sim.n_paths, "seed": seed,
+        "dt": sim.dt, "horizon": sim.horizon, "z_cap": sim.z_cap, "t_probe": sim.t_probe,
         "eps": eps, "interval": list(interval),
     })
     _, v_cf = eval_agent(eq.agent, logit(sim.p0))

@@ -6,10 +6,11 @@ the noninvestible type drifts up at +psi^2 (1-a)^2 / 2, the investible
 type down at the mirror rate, both diffusing at psi (1-a). The kernels
 step the belief in its Lamperti coordinate X = int dz / (psi (1-a)),
 where it diffuses at unit volatility (Kloeden & Platen 1992, section
-4.4); _lamperti gives X in closed form and tabulates z, a and da/dz on a
-uniform X grid. Type-conditioned runs combine into unconditional
-estimates with prior weights. Both types run in one pool of in-flight
-paths, whose width and type mix do not change any result.
+4.4); _lamperti gives X in closed form in z and z in closed form in X,
+and tabulates z, a and da/dz on a uniform X grid. Type-conditioned runs
+combine into unconditional estimates with prior weights. Both types run
+in one pool of in-flight paths, whose width and type mix do not change
+any result.
 
 Each kernel call runs in shares: contiguous ranges of each type's path
 indices, one per usable core, each of at least _MIN_SHARE paths. Share 0
@@ -33,16 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _simkernels
-from .agent import REGIME_HUMP, eval_agent, eval_agent_derivs
+from .agent import REGIME_HUMP, eval_agent, mixing_z_of_value
 from .model import GameParams, Numerics, inv_logit, logit
-from .principal import ConvergenceError, Equilibrium
+from .principal import Equilibrium
 
 TYPE_NONINVESTIBLE = "NI"
 TYPE_INVESTIBLE = "I"
 
 _TAG_NI, _TAG_I, _TAG_DIAG = 0, 1, 2
-_NEWTON_MAXIT = 60       # safeguarded Newton steps allowed to place the table's mixing nodes
-_X_TOL = 1e-9            # largest miss in X of a placed node
 _Z_CAP_MAX = 37.0
 _BOTH = (TYPE_NONINVESTIBLE, TYPE_INVESTIBLE)
 _MAX_PATHS = 2**47       # path indices below this keep (tag << 48) + 2 idx + stream unique
@@ -185,10 +184,13 @@ def _lamperti(eq: Equilibrium, cfg: SimConfig, num: Numerics):
     mixing region both quantile branches of the agent's value have
     v'(z) = -r1 c / (psi^2 (1 - a)), so there X = X(z_L) - psi (v(z) - v_L)
     / (r1 c). The constants make X = z / psi left of z_L and continuous
-    across z_R. Returns (to_x, tab, x_cap): to_x maps a 1-d array of logit
-    beliefs to X; tab holds the rows z, a and a' = da/dz on uniform nodes
-    from x_cap[0] = X(-z_cap) to x_cap[1] = X(z_cap), at a spacing of at
-    most z_table_step / psi.
+    across z_R. The table inverts this without root finding: a mixing node
+    at X has v = v_L - r1 c (X - X_L) / psi, and mixing_z_of_value gives
+    its z, so the table is finite and in order even where 1 - a_peak is
+    below double precision. Returns (to_x, tab, x_cap): to_x maps a 1-d
+    array of logit beliefs to X; tab holds the rows z, a and a' = da/dz on
+    uniform nodes from x_cap[0] = X(-z_cap) to x_cap[1] = X(z_cap), at a
+    spacing of at most z_table_step / psi.
     """
     sol, p = eq.agent, eq.params
     psi = p.psi
@@ -215,53 +217,19 @@ def _lamperti(eq: Equilibrium, cfg: SimConfig, num: Numerics):
     right = x >= x_r
     z[right] = z_r + psi * (x[right] - x_r)
     mix = (x_l < x) & ~right
+    v = sol.v_L - rate * (x[mix] - x_l)
     if mix.any():
-        # v(z) = v_L - rate (X - X_L) by Newton, kept inside a bracket that
-        # starts as the node's chord of X(z) on a grid of the table's z
-        # spacing and shrinks with the sign of each residual; a Newton step
-        # that would leave it bisects instead. v falls in z, so the root
-        # lies right of every point with v above the target. A node is
-        # placed by the step after which its miss in X is far below _X_TOL
-        # or its z no longer moves, and stays there.
-        v_target = sol.v_L - rate * (x[mix] - x_l)
-        zs = np.linspace(z_l, z_r, int(math.ceil((z_r - z_l) / num.z_table_step)) + 1)
-        xs = to_x(zs)
-        k = np.clip(np.searchsorted(xs, x[mix]), 1, zs.size - 1)
-        lo, hi = zs[k - 1], zs[k]
-        zb = np.clip(np.interp(x[mix], xs, zs), lo, hi)
-        placed = np.zeros(zb.size, dtype=bool)
-        for _ in range(_NEWTON_MAXIT):
-            a, v = eval_agent(sol, zb)
-            miss = v - v_target
-            lo = np.where(miss > 0.0, zb, lo)
-            hi = np.where(miss > 0.0, hi, zb)
-            z_new = zb + miss * psi * (1.0 - a) / rate
-            z_new = np.where((lo <= z_new) & (z_new <= hi), z_new, 0.5 * (lo + hi))
-            z_new[placed] = zb[placed]
-            placed |= ((np.abs(miss) <= 1e-2 * _X_TOL * rate)
-                       | (np.abs(z_new - zb) <= 2.0 * np.abs(np.spacing(zb))))
-            zb = z_new
-            if placed.all():
-                break
-        z[mix] = zb
-    a, v = eval_agent(sol, z)
-    if mix.any():
-        # where 1 - a is below what double precision resolves near the peak,
-        # no z lands close enough to its node in X
-        miss = float(np.max(np.abs(x_l - (v[mix] - sol.v_L) / rate - x[mix])))
-        if not miss <= _X_TOL:
-            one_minus_peak = -rate / (psi * eval_agent_derivs(sol, sol.z_star)[2])
-            raise ConvergenceError(
-                f"Lamperti table misses its nodes by {miss:.3g} in X: 1 - a_peak = "
-                f"{one_minus_peak:.3g} is below what double precision resolves")
+        z[mix] = mixing_z_of_value(sol, v)
+    a = eval_agent(sol, z)[0]
     # (1 - a) v' is constant in the mixing region, so a' = (1 - a) v'' / v';
-    # the quantile branches give v'' = v' + v'^2 (v - centre) / kappa
+    # the quantile branches give v'' = v' + v'^2 (v - centre) / kappa. v and
+    # its branch come from the node's X: near the peak one ulp of z spans
+    # more than the whole mixing range of v
     ap = np.zeros(n)
-    if mix.any():
-        left = z < sol.z_star
-        centre = np.where(left, p.u, p.r1 * p.u / (p.r1 + p.lam))
-        kappa = np.where(left, sol.kappa_L, sol.kappa_R)
-        ap[mix] = ((1.0 - a) - rate * (v - centre) / (psi * kappa))[mix]
+    left = v > sol.v_star
+    centre = np.where(left, p.u, p.r1 * p.u / (p.r1 + p.lam))
+    kappa = np.where(left, sol.kappa_L, sol.kappa_R)
+    ap[mix] = (1.0 - a[mix]) - rate * (v - centre) / (psi * kappa)
     return to_x, np.stack([z, a, ap]), x_cap
 
 

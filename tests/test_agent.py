@@ -21,6 +21,7 @@ from mimicgame.agent import (
     _Maps,
     eval_agent_derivs,
     hjb_residual,
+    mixing_z_of_value,
     raw_coefficients,
 )
 from mimicgame.model import GameParams, inv_logit, logit
@@ -321,6 +322,23 @@ def test_mixing_slope_identities():
         lhs = 1.0 - a - ap
         rhs = 2.0 * (v - anchor) / FIG.c * factor
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+
+@pytest.mark.parametrize("pars", [FIG, FIG.with_(psi=5.0)], ids=["fig1", "psi5"])
+def test_mixing_z_of_value_round_trip(pars):
+    # the closed-form inverse of v(z) on the mixing region gives v back,
+    # and maps the region's ends and the cutoff's value onto its z. Near
+    # the peak |v'(z)| = r1 c / (psi^2 (1 - a)) amplifies eval_agent's own
+    # rounding: at psi = 5 (1 - a_peak = 1e-6) it misses v by up to 1e-11
+    # at an exact z, so the miss in v is bounded in units of 1 - a
+    sol = mg.build_agent_solution(pars, logit(0.565))
+    v = np.linspace(sol.v_R, sol.v_L, 1000)
+    a, v_back = mg.eval_agent(sol, mixing_z_of_value(sol, v))
+    assert np.max(np.abs(v_back - v) * (1.0 - a)) < 1e-12 * (pars.u + pars.c)
+    ends = mixing_z_of_value(sol, [sol.v_L, sol.v_star, sol.v_R])
+    assert np.max(np.abs(ends - [sol.z_L, sol.z_star, sol.z_R])) < 1e-12
+    with pytest.raises(SeparatingRegimeError):
+        mixing_z_of_value(mg.build_agent_solution(pars.with_(r1=10.0), 0.0), sol.v_star)
 
 
 def test_shape_monotone_segments_and_curvature():

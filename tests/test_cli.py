@@ -62,6 +62,40 @@ def test_simulate_deterministic_and_seeded(tmp_path, fig_config):
     assert doc["closed_form"]["p_star"] == pytest.approx(0.565, abs=0.01)
 
 
+def test_simulate_header_records_the_run(tmp_path, fig_config):
+    # the horizon and the grid a run used once left no trace in its header:
+    # runs at horizon 2 and 3 wrote the same header, and --grid 1001 wrote
+    # numerics.grid_n 4001
+    docs = {}
+    for horizon in (2, 3):
+        out = tmp_path / str(horizon)
+        assert main(["simulate", "--config", fig_config, "--grid", "1001", "--out", str(out),
+                     "--set", "command.n_paths=50", "--set", f"command.horizon={horizon}"]) == 0
+        docs[horizon] = json.loads((out / "sim_report.json").read_text())["config"]
+    cmd = docs[2]["command"]
+    assert cmd["horizon"] == 2 and docs[3]["command"]["horizon"] == 3
+    assert cmd["dt"] == pytest.approx(0.01 / 1.5**2, rel=1e-15)
+    assert (cmd["z_cap"], cmd["t_probe"]) == (12.0, 1.0)
+    assert docs[2]["numerics"]["grid_n"] == 1001
+    # the header re-parses to the run it records
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(docs[2]))
+    params, numerics, cblock = load_config(str(echo), command="simulate")
+    assert resolved_config(params, numerics, cblock) == docs[2]
+
+
+def test_simulate_unresolvable_peak(tmp_path, fig_config):
+    # at psi = 10, 1 - a_peak is about 3e-23; the Lamperti table once
+    # raised there and the command exited 2
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", fig_config, "--out", str(out), "--grid", "1001",
+                 "--set", "params.psi=10", "--set", "command.horizon=1",
+                 "--set", "command.n_paths=20"]) == 0
+    rep = json.loads((out / "sim_report.json").read_text())["report"]
+    assert all(np.isfinite(rep[k]) for k in ("agent_value_mean", "agent_value_se",
+                                             "principal_value_mean", "principal_value_se"))
+
+
 def test_ep_command(tmp_path, fig_config):
     out = tmp_path / "out"
     assert main(["ep", "--config", fig_config, "--out", str(out), "--grid", "1001"]) == 0

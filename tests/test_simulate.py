@@ -177,16 +177,48 @@ def test_lamperti_table_near_full_mimicking(pars):
     assert np.max(np.abs(to_x(tab[0]) - nodes)) < 1e-9
 
 
+# rows where 1 - a_peak is at or below double precision (about 3e-23, 1e-88,
+# 2e-15 and 3e-56); patience rows on the grid sweep_patience solves them on
+_DEGENERATE = {
+    "psi10": (FIG.with_(psi=10.0), None),
+    "psi20": (FIG.with_(psi=20.0), None),
+    "patience0.1": (FIG.with_(r1=0.05, r2=0.05), 12653),
+    "patience0.03": (FIG.with_(r1=0.015, r2=0.015), 23099),
+}
+
+
 def test_lamperti_table_unresolvable_peak():
-    # at psi = 10, 1 - a_peak is about 3e-23: no double places X near the
-    # cutoff, and the table says so rather than fold back on itself
+    # near the cutoff no double resolves X(z), but every node's z is a
+    # closed form in X: the table stays finite and in order, its ends map
+    # to the cap, and its policy row is the agent's policy at its z row.
+    # Its a' row keeps the hump's signs, rising up to the cutoff and
+    # falling after it, also where the z row has rounded to the cutoff
     from mimicgame.model import Numerics
-    from mimicgame.principal import ConvergenceError
     from mimicgame.simulate import _lamperti
-    pars = FIG.with_(psi=10.0)
-    eq = mg.solve_equilibrium(pars)
-    with pytest.raises(ConvergenceError, match="1 - a_peak"):
-        _lamperti(eq, SimConfig(p0=0.3).resolve(pars), Numerics())
+    for row, (pars, grid_n) in _DEGENERATE.items():
+        eq = mg.solve_equilibrium(pars, grid_n=grid_n)
+        cfg = SimConfig(p0=0.3).resolve(pars)
+        to_x, tab, x_cap = _lamperti(eq, cfg, Numerics())
+        z_tab, a_tab, ap_tab = tab
+        assert np.all(np.isfinite(tab)), row
+        assert np.all(np.diff(z_tab) >= 0.0), row
+        assert (z_tab[0], z_tab[-1]) == pytest.approx((-cfg.z_cap, cfg.z_cap), abs=1e-12), row
+        assert np.all((0.0 <= a_tab) & (a_tab <= 1.0)), row
+        assert np.array_equal(a_tab, mg.eval_agent(eq.agent, z_tab)[0]), row
+        nodes = np.linspace(*x_cap, z_tab.size)
+        x_star = to_x([eq.agent.z_star])[0]
+        assert np.all(ap_tab[nodes < x_star] >= 0.0), row
+        assert np.all(ap_tab[nodes > x_star] <= 0.0), row
+
+
+def test_mc_matches_closed_form_unresolvable_peak():
+    # patience 0.1, where 1 - a_peak is 2e-15, simulates like any other row
+    pars, grid_n = _DEGENERATE["patience0.1"]
+    eq = mg.solve_equilibrium(pars, grid_n=grid_n)
+    rep = estimate_values(eq, SimConfig(p0=0.3, n_paths=500, seed=7), with_diagnostic=False)
+    _, v_cf = mg.eval_agent(eq.agent, logit(0.3))
+    assert abs(rep.agent_value_mean - v_cf) < 4 * rep.agent_value_se
+    assert abs(rep.principal_value_mean - float(eq.W.at(0.3))) < 4 * rep.principal_value_se
 
 
 def test_determinism_bit_identical(fig_eq):
