@@ -10,7 +10,7 @@ patience ladders and tabulate the trends the limit results predict.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,23 +152,16 @@ def sweep_patience(params: GameParams, scale_list, chi: float = 1.0,
         pars = params.with_(r1=s * params.r1, r2=chi * s * params.r1)
         n_s = int(base_grid / math.sqrt(s)) | 1
         try:
-            eq = solve_equilibrium(pars, grid_n=n_s, num=num)
-            pg = eq.W.states
-            stop_value = np.maximum(0.0, termination_payoff(pg, pars))
+            eq, row = _solved_row("scale", float(s), pars, probes[0], n_s, num)
+            stop_value = np.maximum(0.0, termination_payoff(eq.W.states, pars))
             sup_dist = float(np.max(np.abs(eq.W.values - stop_value)))
             _, v_below = eval_agent(eq.agent, logit(probes[0]))
             _, v_above = eval_agent(eq.agent, logit(probes[1]))
             warn = None
             if eq.agent.a_peak > 1.0 - 1e-3:
                 warn = "near-degenerate diffusion at the cutoff; grid refined"
-            w_probe = float(eq.W.at(probes[0]))
-            wu, wo = benchmark_values(probes[0], pars)
-            rows.append(SweepRow(param="scale", value=float(s), p_star=eq.p_star,
-                                 w_probe=w_probe, a_at_pstar=eq.agent.a_peak,
-                                 gap_under=w_probe - wu, gap_over=wo - w_probe,
-                                 sup_dist_stop_value=sup_dist,
-                                 v_below=float(v_below), v_above=float(v_above),
-                                 warning=warn))
+            rows.append(replace(row, sup_dist_stop_value=sup_dist, v_below=float(v_below),
+                                v_above=float(v_above), warning=warn))
         except _SOLVER_ERRORS as exc:
             rows.append(SweepRow(param="scale", value=float(s),
                                  error=f"{type(exc).__name__}: {exc}"))

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .agent import SeparatingRegimeError, eval_agent, raw_coefficients
 from .analysis import classify_ep_shape, expected_performance, sweep_patience, sweep_psi
-from .model import GameParams, Numerics, logit, myopic_cutoffs
+from .model import GameParams, Numerics, inv_logit, logit, myopic_cutoffs
 from .oracle import DiscreteGame, OscillationError, discrete_equilibrium
 from .principal import ConvergenceError, solve_equilibrium
 from .simulate import SimConfig, estimate_values
@@ -139,8 +139,7 @@ def write_json(path: Path, header_cfg: dict, payload: dict):
 
 
 def _cmd_solve(params, numerics, cblock, out: Path, args):
-    grid_n = args.grid or numerics.grid_n
-    eq = solve_equilibrium(params, grid_n=grid_n, num=numerics)
+    eq = solve_equilibrium(params, num=numerics)
     cfg = resolved_config(params, numerics, {"name": "solve"})
     agent = eq.agent
     pgrid = eq.W.states
@@ -152,8 +151,8 @@ def _cmd_solve(params, numerics, cblock, out: Path, args):
         "regime": agent.regime,
         "r_star": agent.r_star,
         "v_star": agent.v_star,
-        "p_L": None if math.isnan(agent.z_L) else float(1.0 / (1.0 + math.exp(-agent.z_L))),
-        "p_R": None if math.isnan(agent.z_R) else float(1.0 / (1.0 + math.exp(-agent.z_R))),
+        "p_L": None if math.isnan(agent.z_L) else inv_logit(agent.z_L),
+        "p_R": None if math.isnan(agent.z_R) else inv_logit(agent.z_R),
         "v_L": agent.v_L,
         "v_R": agent.v_R,
         "a_peak": agent.a_peak,
@@ -176,8 +175,7 @@ def _cmd_solve(params, numerics, cblock, out: Path, args):
 
 
 def _cmd_simulate(params, numerics, cblock, out: Path, args):
-    numerics = dataclasses.replace(numerics, grid_n=args.grid or numerics.grid_n)
-    eq = solve_equilibrium(params, grid_n=numerics.grid_n, num=numerics)
+    eq = solve_equilibrium(params, num=numerics)
     seed = args.seed if args.seed is not None else cblock.get("seed", numerics.mc_seed)
     sim = SimConfig(
         p0=cblock.get("p0", 0.3),
@@ -211,8 +209,7 @@ def _cmd_simulate(params, numerics, cblock, out: Path, args):
 def _cmd_sweep_psi(params, numerics, cblock, out: Path, args):
     psi_list = cblock.get("psi_list", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
     probe_p = cblock.get("probe_p", 0.3)
-    rows = sweep_psi(params, psi_list, probe_p=probe_p,
-                     grid_n=args.grid, num=numerics)
+    rows = sweep_psi(params, psi_list, probe_p=probe_p, num=numerics)
     cfg = resolved_config(params, numerics,
                           {"name": "sweep-psi", "psi_list": list(psi_list), "probe_p": probe_p})
     write_csv(out / "sweep_psi.csv", cfg,
@@ -228,8 +225,7 @@ def _cmd_sweep_patience(params, numerics, cblock, out: Path, args):
     scale_list = cblock.get("scale_list", [1.0, 0.3, 0.1, 0.03])
     chi = cblock.get("chi", 1.0)
     probes = cblock.get("probes")
-    rows = sweep_patience(params, scale_list, chi=chi, probes=probes,
-                          grid_n=args.grid, num=numerics)
+    rows = sweep_patience(params, scale_list, chi=chi, probes=probes, num=numerics)
     cfg = resolved_config(params, numerics, {
         "name": "sweep-patience", "scale_list": list(scale_list), "chi": chi,
         "probes": list(probes) if probes else None,
@@ -246,7 +242,7 @@ def _cmd_sweep_patience(params, numerics, cblock, out: Path, args):
 
 
 def _cmd_ep(params, numerics, cblock, out: Path, args):
-    eq = solve_equilibrium(params, grid_n=args.grid or numerics.grid_n, num=numerics)
+    eq = solve_equilibrium(params, num=numerics)
     shape = classify_ep_shape(eq, num=numerics)
     n = cblock.get("ep_grid_n", 2001)
     pgrid = np.linspace(numerics.p_min, 1.0 - numerics.p_min, n)
@@ -269,7 +265,7 @@ def _cmd_oracle_check(params, numerics, cblock, out: Path, args):
     z_max = cblock.get("z_max", 10.0)
     p_star_tol = cblock.get("p_star_tol", 0.02)
     value_tol = cblock.get("value_tol", 0.02)
-    eq = solve_equilibrium(params, grid_n=args.grid or numerics.grid_n, num=numerics)
+    eq = solve_equilibrium(params, num=numerics)
     dg = DiscreteGame(delta=delta, z_max=z_max)
     de = discrete_equilibrium(params, dg)
 
@@ -342,6 +338,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.grid is not None:    # every command solves on, and records, this grid
+        numerics = dataclasses.replace(numerics, grid_n=args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _simkernels
-from .agent import REGIME_HUMP, eval_agent, mixing_z_of_value
+from .agent import REGIME_HUMP, eval_agent, mixing_slope, mixing_z_of_value
 from .model import GameParams, Numerics, inv_logit, logit
 from .principal import Equilibrium
 
@@ -221,15 +221,8 @@ def _lamperti(eq: Equilibrium, cfg: SimConfig, num: Numerics):
     if mix.any():
         z[mix] = mixing_z_of_value(sol, v)
     a = eval_agent(sol, z)[0]
-    # (1 - a) v' is constant in the mixing region, so a' = (1 - a) v'' / v';
-    # the quantile branches give v'' = v' + v'^2 (v - centre) / kappa. v and
-    # its branch come from the node's X: near the peak one ulp of z spans
-    # more than the whole mixing range of v
     ap = np.zeros(n)
-    left = v > sol.v_star
-    centre = np.where(left, p.u, p.r1 * p.u / (p.r1 + p.lam))
-    kappa = np.where(left, sol.kappa_L, sol.kappa_R)
-    ap[mix] = (1.0 - a[mix]) - rate * (v - centre) / (psi * kappa)
+    ap[mix] = mixing_slope(sol, a[mix], v)     # v from the node's X, exact near the peak
     return to_x, np.stack([z, a, ap]), x_cap
 
 

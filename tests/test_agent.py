@@ -21,6 +21,7 @@ from mimicgame.agent import (
     _Maps,
     eval_agent_derivs,
     hjb_residual,
+    mixing_slope,
     mixing_z_of_value,
     raw_coefficients,
 )
@@ -294,14 +295,17 @@ def test_eval_first_order_identity_everywhere():
 
 
 def test_hjb_residual_off_kinks():
-    sol = mg.build_agent_solution(FIG, logit(0.565))
+    # the hump, the separating regime (no mixing edges) and a wide mixing region
     z = np.linspace(-8, 8, 4001)
     h = z[1] - z[0]
-    keep = np.ones_like(z, dtype=bool)
-    for kink in (sol.z_L, sol.z_star, sol.z_R):
-        keep &= np.abs(z - kink) > h
-    res = hjb_residual(sol, z[keep])
-    assert np.max(np.abs(res)) < 1e-6 * FIG.r1 * (FIG.u + FIG.c)
+    for pars in (FIG, FIG.with_(r1=2.0), FIG.with_(r1=10.0), FIG.with_(psi=20.0)):
+        sol = mg.build_agent_solution(pars, logit(0.565))
+        keep = np.ones_like(z, dtype=bool)
+        for kink in (sol.z_L, sol.z_star, sol.z_R):
+            if math.isfinite(kink):
+                keep &= np.abs(z - kink) > h
+        res = hjb_residual(sol, z[keep])
+        assert np.max(np.abs(res)) < 1e-6 * pars.r1 * (pars.u + pars.c)
 
 
 def test_mixing_slope_identities():
@@ -322,6 +326,8 @@ def test_mixing_slope_identities():
         lhs = 1.0 - a - ap
         rhs = 2.0 * (v - anchor) / FIG.c * factor
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+        # the closed form the Lamperti table uses states the same identity
+        assert np.max(np.abs(mixing_slope(sol, a, v) - ap)) < 1e-6
 
 
 @pytest.mark.parametrize("pars", [FIG, FIG.with_(psi=5.0)], ids=["fig1", "psi5"])

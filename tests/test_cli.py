@@ -96,6 +96,28 @@ def test_simulate_unresolvable_peak(tmp_path, fig_config):
                                              "principal_value_mean", "principal_value_se"))
 
 
+def test_solve_far_left_mixing_edge(tmp_path, fig_config):
+    # at psi = 50 the mixing region starts at z_L = -1253.8, where exp(-z_L)
+    # overflowed after a successful solve: a traceback and no equilibrium.json
+    out = tmp_path / "out"
+    assert main(["solve", "--config", fig_config, "--out", str(out), "--grid", "1001",
+                 "--set", "params.psi=50"]) == 0
+    doc = json.loads((out / "equilibrium.json").read_text())
+    assert doc["p_L"] == 0.0
+    assert 0.0 < doc["p_R"] < 1.0
+
+
+@pytest.mark.parametrize("cmd, name", [("solve", "equilibrium.json"), ("ep", "ep_shape.json")])
+def test_header_records_the_grid(tmp_path, fig_config, cmd, name):
+    # --grid 1001 once solved on 1001 nodes and wrote numerics.grid_n 4001
+    out = tmp_path / "out"
+    assert main([cmd, "--config", fig_config, "--out", str(out), "--grid", "1001"]) == 0
+    doc = json.loads((out / name).read_text())
+    assert doc["config"]["numerics"]["grid_n"] == 1001
+    if cmd == "solve":
+        assert doc["diagnostics"]["grid_n"] == 1001
+
+
 def test_ep_command(tmp_path, fig_config):
     out = tmp_path / "out"
     assert main(["ep", "--config", fig_config, "--out", str(out), "--grid", "1001"]) == 0
